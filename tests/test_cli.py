@@ -1,9 +1,21 @@
 import json
+from pathlib import Path
 
+import pytest
 
 from posthopf.cli import main
 from posthopf.hopfcore import hopf_to_json, sweedler_h4
 from posthopf.triangleop import family_table, op_to_json_dict
+
+# Byte-exact outputs of the commands below, recorded once from the CLI with
+# the same arguments (stdout in ``*.txt``, the --json/--out payload in
+# ``*.json``).  A refactor must reproduce them; they are never regenerated to
+# make a change pass.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text("utf-8")
 
 
 def run(capsys, *argv):
@@ -44,6 +56,27 @@ def test_verify_family_with_parameter(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+@pytest.mark.parametrize(
+    "ref, stem", [
+        ("family:i", "i"),
+        ("family:ii:a=3/2", "ii-a3_2"),
+        ("family:iv", "iv"),
+        ("family:vi", "vi"),
+    ],
+)
+def test_verify_cli_golden(tmp_path, capsys, ref, stem, mode):
+    json_path = tmp_path / "verify.json"
+    code, out, _ = run(
+        capsys, "verify", "--hopf", "builtin:h4", "--op", ref, "--mode", mode,
+        "--json", str(json_path),
+    )
+    # families iv and vi are relaxed but not unital
+    assert code == (1 if mode == "weak" and stem in ("iv", "vi") else 0)
+    assert out == golden(f"verify-{stem}-{mode}.txt")
+    assert json_path.read_text("utf-8") == golden(f"verify-{stem}-{mode}.json")
+
+
 def test_verify_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", "utf-8")
@@ -71,9 +104,12 @@ def test_families_render_deterministic(capsys):
     assert "a - ag" in out1
 
 
-def test_families_check(capsys):
-    code, out, _ = run(capsys, "families", "--check")
+def test_families_check(tmp_path, capsys):
+    json_path = tmp_path / "families.json"
+    code, out, _ = run(capsys, "families", "--check", "--json", str(json_path))
     assert code == 0
+    assert out == golden("families-check.txt")
+    assert json_path.read_text("utf-8") == golden("families-check.json")
     assert out.count("relaxed axioms: PASS") == 6
     assert out.count("unital (weak): yes") == 3
     assert out.count("unital (weak): no") == 3
@@ -121,6 +157,17 @@ def test_enumerate_cli(tmp_path, capsys):
     assert "stats" in payload
 
 
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+@pytest.mark.parametrize("prime", [3, 5])
+def test_enumerate_cli_golden(tmp_path, capsys, mode, prime):
+    out_path = tmp_path / "enum.json"
+    code, _, _ = run(
+        capsys, "enumerate", "--prime", str(prime), "--mode", mode, "--out", str(out_path)
+    )
+    assert code == 0
+    assert out_path.read_text("utf-8") == golden(f"enumerate-{mode}-p{prime}.json")
+
+
 def test_enumerate_bad_prime(capsys):
     code, _, err = run(capsys, "enumerate", "--prime", "4")
     assert code == 2
@@ -140,12 +187,26 @@ def test_classify_cli_relaxed(tmp_path, capsys):
     assert payload["stats"]["anticipated_relaxed_only"] == 2
     assert payload["stats"]["relaxed_only_count_flagged"] is True
     assert "[flagged: computed 3, anticipated 2]" in out
+    assert json_path.read_text("utf-8") == golden("classify-relaxed-generator32.json")
 
 
-def test_classify_cli_weak(capsys):
-    code, out, _ = run(capsys, "classify", "--mode", "weak")
+def test_classify_cli_weak(tmp_path, capsys):
+    json_path = tmp_path / "classify.json"
+    code, out, _ = run(capsys, "classify", "--mode", "weak", "--json", str(json_path))
     assert code == 0
     assert "classification matches built-in tables" in out
+    assert json_path.read_text("utf-8") == golden("classify-weak-generator32.json")
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+def test_classify_cli_full64(tmp_path, capsys, mode):
+    json_path = tmp_path / "classify.json"
+    code, out, _ = run(
+        capsys, "classify", "--mode", mode, "--param", "full64", "--json", str(json_path)
+    )
+    assert code == 0
+    assert "classification matches built-in tables" in out
+    assert json_path.read_text("utf-8") == golden(f"classify-{mode}-full64.json")
 
 
 def test_classify_limits_exceeded(capsys):
