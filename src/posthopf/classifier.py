@@ -2,20 +2,10 @@
 
 The pipeline: parameterize an unknown table with fresh indeterminates
 (:func:`build_unknown_op`), turn the axiom residuals into a polynomial
-constraint system (:func:`generate_constraints`), and explore it with a
-depth-first branch solver (:func:`solve`) whose only moves are
-
-  (a) prune a branch containing a nonzero constant equation,
-  (b) eliminate a variable that occurs linearly with a nonzero constant
-      coefficient (smallest equation support first, ties by lowest id),
-  (c) split the lowest-canonical-order equation that factors (monomial
-      content or a rational-root quadratic), one disjoint case per factor,
-
-until no equations remain (resolved), nothing applies (unresolved), or the
-branch dies (inconsistent).  Every resolved branch is re-verified by exact
-substitution into the original system; a verification failure is a hard
-error, never a silent drop.  Resolved branches are then deduplicated and
-subsumed into maximal families and matched against the built-in tables.
+constraint system (:func:`generate_constraints`), and explore it with the
+branch solver of :mod:`posthopf.solver`.  Resolved branches are then
+deduplicated and subsumed into maximal families and matched against the
+built-in tables.
 
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs serialize identically byte for byte.
@@ -24,35 +14,38 @@ so two runs serialize identically byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .hopfcore import HopfStructure, sweedler_h4
-from .multipoly import Poly, VarRegistry, compose_many, try_factor_split
+from .multipoly import Poly, VarRegistry, compose_many
+# SolverVerificationError is what ``classify`` raises when a branch fails
+# re-verification, so callers of this module can catch it from here
+from .solver import (
+    Branch,
+    Constraint,
+    ConstraintSystem,
+    SolverVerificationError,
+    _param_names,
+    solve,
+)
 from .triangleop import (
     FAMILY_LABELS,
     GeneratorTable,
     TriangleOp,
-    check_coalgebra_hom,
-    check_distributivity,
-    check_unitality,
-    check_weighted_assoc,
+    axiom_suite,
     extend_generators,
     family_table,
     op_to_json_dict,
+    table_params,
 )
 
 __all__ = [
-    "Constraint",
-    "ConstraintSystem",
-    "Branch",
     "Family",
     "ClassificationResult",
     "MatchReport",
     "SolverVerificationError",
     "build_unknown_op",
     "generate_constraints",
-    "solve",
     "classify",
     "subsume",
     "specializes",
@@ -62,51 +55,6 @@ __all__ = [
 ]
 
 PARAMETERIZATIONS = ("generator32", "full64")
-
-
-class SolverVerificationError(RuntimeError):
-    """A resolved branch failed re-substitution into the original system."""
-
-
-@dataclass(frozen=True)
-class Constraint:
-    poly: Poly
-    axiom: str
-    indices: tuple
-
-    def provenance(self) -> str:
-        return f"{self.axiom}@{','.join(map(str, self.indices))}"
-
-
-@dataclass
-class ConstraintSystem:
-    registry: VarRegistry
-    equations: list[Constraint]
-    mode: str
-
-
-@dataclass
-class Branch:
-    """One leaf of the solver tree.
-
-    For a resolved branch, ``assignments`` maps every original variable id
-    to a polynomial over ``registry`` (the branch's own parameter registry,
-    variables named a, b, c, ... in original-id order); free parameters map
-    to themselves.  Inconsistent and unresolved branches keep partial
-    assignments over the original system registry together with the
-    equations that remained.
-    """
-
-    status: str                      # "resolved" | "inconsistent" | "unresolved"
-    assignments: dict
-    free_params: tuple[str, ...]
-    registry: VarRegistry
-    remaining: tuple = ()
-    note: str = ""
-    trace: tuple[str, ...] = ()
-    # nonzero side conditions the branch's case split imposed, rendered over
-    # the branch parameters; the sibling cases cover their complements
-    side_conditions: tuple[str, ...] = ()
 
 
 @dataclass
@@ -160,19 +108,10 @@ def generate_constraints(
     """All residual components of the coalgebra-homomorphism, product-rule
     and weighted-associativity checks on the symbolic table (plus unitality
     in weak mode), deduplicated up to a nonzero rational factor."""
-    if mode not in ("relaxed", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
     registry = op.table[0][0][0].registry
-    reports = [
-        check_coalgebra_hom(H, op),
-        check_distributivity(H, op),
-        check_weighted_assoc(H, op),
-    ]
-    if mode == "weak":
-        reports.append(check_unitality(H, op))
     seen: set = set()
     equations: list[Constraint] = []
-    for report in reports:
+    for report in axiom_suite(H, op, mode).values():
         for entry in report.entries:
             poly = entry.residual
             key = poly.canon_key()
@@ -181,268 +120,6 @@ def generate_constraints(
             seen.add(key)
             equations.append(Constraint(poly, entry.axiom, entry.indices))
     return ConstraintSystem(registry, equations, mode)
-
-
-# -- the branch solver -------------------------------------------------------------
-
-_PARAM_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _param_names(count: int) -> list[str]:
-    names = []
-    for i in range(count):
-        if i < len(_PARAM_ALPHABET):
-            names.append(_PARAM_ALPHABET[i])
-        else:
-            names.append(f"p{i}")
-    return names
-
-
-def _prepare(equations) -> list[Poly]:
-    """Drop zeros, deduplicate up to a rational factor, sort canonically."""
-    seen: dict[tuple, Poly] = {}
-    for eq in equations:
-        if eq.is_zero():
-            continue
-        key = eq.canon_key()
-        if key not in seen:
-            seen[key] = eq
-    return [seen[key] for key in sorted(seen)]
-
-
-def _bare_var(poly: Poly) -> int | None:
-    """Variable id when the polynomial is a nonzero multiple of one variable."""
-    if len(poly.terms) != 1:
-        return None
-    (mono,) = poly.terms
-    if len(mono) == 1 and mono[0][1] == 1:
-        return mono[0][0]
-    return None
-
-
-def solve(
-    system: ConstraintSystem,
-    *,
-    max_branches: int = 10000,
-    max_depth: int = 64,
-    solvable=None,
-) -> tuple[list[Branch], dict]:
-    """Depth-first exploration of the constraint system.
-
-    Splits are disjoint: after branching on a factorization, each later
-    child records the earlier factors as nonzero side conditions.  A bare
-    nonzero variable cancels out of any equation it divides (the coefficient
-    field has no zero divisors), which is what keeps the case tree small;
-    other nonzero factors are only watched for contradictions.
-
-    ``solvable`` restricts elimination to the given variable ids; with the
-    restriction active, a nonzero equation supported entirely outside the
-    solvable set prunes its branch (it could never vanish identically).
-    Used for specialization matching, where one table's parameters must be
-    solved in terms of the other's.
-    """
-    registry = system.registry
-    nvars = len(registry)
-    solvable_set = None if solvable is None else set(solvable)
-    stats = {
-        "substitutions": 0,
-        "splits": 0,
-        "pruned": 0,
-        "resolved": 0,
-        "unresolved": 0,
-        "nodes": 1,
-    }
-    branches: list[Branch] = []
-    original = [c.poly for c in system.equations]
-    # stack entries: equations, assignments, nonzero var ids, watched nonzero
-    # polynomials, depth, trace
-    stack = [(_prepare(original), {}, frozenset(), (), 0, ())]
-
-    def leaf(status, assign, eqs, note, trace):
-        stats["pruned" if status == "inconsistent" else "unresolved"] += 1
-        branches.append(
-            Branch(
-                status=status,
-                assignments=dict(assign),
-                free_params=(),
-                registry=registry,
-                remaining=tuple(eqs),
-                note=note,
-                trace=trace,
-            )
-        )
-
-    while stack:
-        eqs, assign, nonzero, watch, depth, trace = stack.pop()
-        while True:
-            # cancel nonzero variables out of equations they divide
-            reduced = []
-            changed = False
-            for eq in eqs:
-                while True:
-                    hit = next((v for v in eq.content_vars() if v in nonzero), None)
-                    if hit is None:
-                        break
-                    eq = eq.divide_once_by(hit)
-                    changed = True
-                reduced.append(eq)
-            if changed:
-                eqs = _prepare(reduced)
-
-            # (a) dead branches: nonzero constants, contradicted side
-            # conditions, or (restricted mode) equations with no solvable
-            # variable left.
-            dead = None
-            for eq in eqs:
-                if eq.is_constant():
-                    dead = f"equation reduced to constant {eq}"
-                    break
-                if solvable_set is not None and not any(
-                    v in solvable_set for v in eq.support
-                ):
-                    dead = f"equation {eq} has no solvable variable"
-                    break
-            if dead is None:
-                for w in watch:
-                    if w.is_zero():
-                        dead = "nonzero side condition became zero"
-                        break
-            if dead is not None:
-                leaf("inconsistent", assign, eqs, dead, trace)
-                break
-            watch = tuple(
-                w for w in watch if not (w.is_constant() and not w.is_zero())
-            )
-
-            # (b) linear elimination with a constant coefficient
-            best = None
-            for eq in eqs:
-                cands = eq.linear_candidates()
-                if not cands:
-                    continue
-                sup = eq.support
-                for v, a in cands:
-                    if solvable_set is not None and v not in solvable_set:
-                        continue
-                    key = (len(sup), v, eq.canon_key())
-                    if best is None or key < best[0]:
-                        best = (key, v, a, eq)
-            if best is not None:
-                _, v, a, eq = best
-                rest = Poly(
-                    registry,
-                    {m: c for m, c in eq.terms.items() if m != ((v, 1),)},
-                )
-                expr = rest * (Fraction(-1) / a)
-                assign = {w: val.substitute(v, expr) for w, val in assign.items()}
-                assign[v] = expr
-                eqs = _prepare(eq2.substitute(v, expr) for eq2 in eqs)
-                watch = tuple(w.substitute(v, expr) for w in watch)
-                if v in nonzero:
-                    nonzero = nonzero - {v}
-                    if expr.is_zero():
-                        leaf("inconsistent", assign, eqs,
-                             f"{registry.name_of(v)} assumed nonzero but forced to 0", trace)
-                        break
-                    if not expr.is_constant():
-                        watch = watch + (expr,)
-                stats["substitutions"] += 1
-                trace = trace + (f"eliminate {registry.name_of(v)} := {expr}",)
-                continue
-
-            # (c) factor split on the lowest-canonical-order splittable
-            # equation; children are disjoint cases.
-            split = None
-            for eq in eqs:
-                factors = try_factor_split(eq)
-                if factors:
-                    deduped = []
-                    keys = set()
-                    for f in factors:
-                        k = f.canon_key()
-                        if k not in keys:
-                            keys.add(k)
-                            deduped.append(f)
-                    split = (eq, deduped)
-                    break
-            if split is not None:
-                eq, factors = split
-                if depth + 1 > max_depth or stats["nodes"] + len(factors) > max_branches:
-                    leaf("unresolved", assign, eqs, "limit exceeded", trace)
-                    break
-                rest = [e for e in eqs if e is not eq]
-                stats["splits"] += 1
-                stats["nodes"] += len(factors)
-                children = []
-                for idx, factor in enumerate(factors):
-                    child_nonzero = set(nonzero)
-                    child_watch = list(watch)
-                    for prior in factors[:idx]:
-                        bare = _bare_var(prior)
-                        if bare is not None:
-                            child_nonzero.add(bare)
-                        else:
-                            child_watch.append(prior)
-                    children.append(
-                        (
-                            _prepare(rest + [factor]),
-                            dict(assign),
-                            frozenset(child_nonzero),
-                            tuple(child_watch),
-                            depth + 1,
-                            trace + (f"split {eq}: case {factor} = 0",),
-                        )
-                    )
-                stack.extend(reversed(children))
-                break
-
-            if not eqs:
-                branches.append(_finalize(system, assign, trace, nvars, nonzero, watch))
-                stats["resolved"] += 1
-                break
-
-            leaf("unresolved", assign, eqs, "no applicable elimination or split", trace)
-            break
-
-    return branches, stats
-
-
-def _finalize(
-    system: ConstraintSystem, assign: dict, trace, nvars: int, nonzero=frozenset(), watch=()
-) -> Branch:
-    """Rename the surviving variables to canonical parameters, express every
-    assignment in them, and re-verify the original system exactly."""
-    registry = system.registry
-    free = [v for v in range(nvars) if v not in assign]
-    names = _param_names(len(free))
-    param_reg = VarRegistry()
-    pmap = {v: param_reg.var(name) for v, name in zip(free, names)}
-    full: dict[int, Poly] = {}
-    for v in range(nvars):
-        if v in assign:
-            full[v] = assign[v].compose(pmap, param_reg)
-        else:
-            full[v] = pmap[v]
-    residuals = compose_many(
-        [c.poly for c in system.equations], full, param_reg
-    )
-    for constraint, residual in zip(system.equations, residuals):
-        if not residual.is_zero():
-            raise SolverVerificationError(
-                f"branch fails re-verification at {constraint.provenance()}: "
-                f"residual {residual}"
-            )
-    conditions = [f"{pmap[v]} != 0" for v in sorted(nonzero) if v in pmap]
-    conditions += [f"{w.compose(pmap, param_reg)} != 0" for w in watch]
-    return Branch(
-        status="resolved",
-        assignments=full,
-        free_params=tuple(names),
-        registry=param_reg,
-        remaining=(),
-        trace=trace,
-        side_conditions=tuple(conditions),
-    )
 
 
 # -- tables from branches, canonical forms, subsumption ------------------------------
@@ -479,31 +156,13 @@ def _as_poly_table(op: TriangleOp, registry: VarRegistry, rename: dict) -> list:
     return out
 
 
-def _table_params_in_order(op: TriangleOp) -> list[int]:
-    """Parameter ids in first-occurrence order over the row-major, term-ordered
-    serialization of the table."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for row in op.table:
-        for cell in row:
-            for entry in cell:
-                if not isinstance(entry, Poly):
-                    continue
-                for mono in entry._sorted_monos():
-                    for v, _ in mono:
-                        if v not in seen:
-                            seen.add(v)
-                            order.append(v)
-    return order
-
-
 def canonical_table_key(op: TriangleOp) -> str:
     """Canonical form of a parameterized table: parameters renamed a, b, ...
     in first-occurrence order, then each parameter's sign normalized so that
     its first occurrence carries a positive coefficient.  Two tables denote
     the same family up to parameter renaming (and sign) iff their keys match.
     """
-    params = _table_params_in_order(op)
+    params = list(table_params(op))
     reg = VarRegistry()
     rename: dict[int, Poly] = {}
     names = _param_names(len(params))
@@ -544,20 +203,10 @@ def specializes(general: TriangleOp, special: TriangleOp) -> bool:
     reg = VarRegistry()
 
     def transplant(op: TriangleOp, prefix: str) -> tuple[list, list[int]]:
-        src_reg = next(
-            (
-                entry.registry
-                for row in op.table
-                for cell in row
-                for entry in cell
-                if isinstance(entry, Poly)
-            ),
-            None,
-        )
         ids = []
         rename = {}
-        for vid in _table_params_in_order(op):
-            name = f"{prefix}{src_reg.name_of(vid)}"
+        for vid, param in table_params(op).items():
+            name = f"{prefix}{param}"
             rename[vid] = reg.var(name)
             ids.append(reg.id_of(name))
         return _as_poly_table(op, reg, rename), ids
@@ -699,27 +348,13 @@ def classify(
 
 def classification_to_json_dict(result: ClassificationResult) -> dict:
     """Stable machine-readable report; byte-identical across repeat runs."""
-    def table_params(fam: Family) -> list[str]:
-        reg = None
-        used: list[str] = []
-        for row in fam.table.table:
-            for cell in row:
-                for entry in cell:
-                    if isinstance(entry, Poly):
-                        reg = entry.registry
-                        for v in entry.support:
-                            name = reg.name_of(v)
-                            if name not in used:
-                                used.append(name)
-        return sorted(used)
-
     return {
         "mode": result.mode,
         "parameterization": result.parameterization,
         "families": [
             {
                 "table": op_to_json_dict(fam.table),
-                "free_params": table_params(fam),
+                "free_params": sorted(table_params(fam.table).values()),
             }
             for fam in result.maximal_families
         ],

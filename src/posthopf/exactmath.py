@@ -29,7 +29,6 @@ __all__ = [
     "rational_mod_p",
     "rref",
     "kernel_basis",
-    "mat_vec",
 ]
 
 
@@ -58,10 +57,13 @@ _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict serialized form ``p``, ``-p`` or ``p/q``."""
-    if not _RATIONAL_RE.match(text):
+    """Parse the strict serialized form ``p``, ``-p`` or ``p/q`` (q nonzero)."""
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class FpElement:
@@ -237,13 +239,3 @@ def kernel_basis(matrix):
             v[pc] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def mat_vec(matrix, vec):
-    out = []
-    for row in matrix:
-        acc = row[0] * vec[0]
-        for a, b in zip(row[1:], vec[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return out

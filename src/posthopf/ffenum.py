@@ -21,18 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .classifier import _cached_system
 from .exactmath import FpElement, is_odd_prime, rational_mod_p
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
     GeneratorTable,
     TriangleOp,
-    check_coalgebra_hom,
-    check_distributivity,
-    check_unitality,
-    check_weighted_assoc,
+    axiom_suite,
     extend_generators,
     op_serial,
+    table_params,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "compare_with_families",
 ]
 
-ROW_ORDER = ("1", "g", "v", "gv")
 MAX_PRIME = 13
 
 
@@ -60,7 +58,6 @@ class EnumerationTask:
     prime: int
     mode: str = "relaxed"
     max_leaves: int | None = None
-    row_order: tuple[str, ...] = ROW_ORDER
 
     def __post_init__(self):
         if not is_odd_prime(self.prime) or self.prime > MAX_PRIME:
@@ -69,8 +66,6 @@ class EnumerationTask:
             )
         if self.mode not in ("relaxed", "weak"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.row_order != ROW_ORDER:
-            raise ValueError(f"row order is fixed to {ROW_ORDER}")
 
 
 @dataclass
@@ -88,8 +83,6 @@ class EnumerationReport:
 def _generator_layout():
     """(row, local-slot) of each of the 32 generator unknowns; slots 0-3 are
     the x|>g coordinates, 4-7 the x|>v coordinates."""
-    from .classifier import _cached_system
-
     _op, reg, system = _cached_system("relaxed", "generator32")
     rows = []
     locals_ = []
@@ -104,8 +97,6 @@ def _generator_layout():
 def _system_terms(mode: str):
     """Constraints of the generator parameterization as integer term lists,
     grouped by depth (the highest row index occurring in the support)."""
-    from .classifier import _cached_system
-
     _op, _reg, system = _cached_system(mode, "generator32")
     row_of, _ = _generator_layout()
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
@@ -225,24 +216,9 @@ def _table_from_rows(H4: HopfStructure, p: int, rows: dict) -> TriangleOp:
     return extend_generators(H4, gt)
 
 
-def _passes_full_suite(H4: HopfStructure, op: TriangleOp, mode: str) -> bool:
-    if not check_coalgebra_hom(H4, op).passed:
-        return False
-    if not check_distributivity(H4, op).passed:
-        return False
-    if not check_weighted_assoc(H4, op).passed:
-        return False
-    if mode == "weak" and not check_unitality(H4, op).passed:
-        return False
-    return True
-
-
-def enumerate_structures(task: EnumerationTask, *, workers: int = 1) -> EnumerationReport:
-    """Exhaustive, exact enumeration.  ``workers`` partitions the top-level
-    candidate list into chunks whose results are merged and canonically
-    sorted, so the output is independent of the partitioning."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
+    """Exhaustive, exact enumeration; the structures come out canonically
+    sorted."""
     h4 = sweedler_h4()
     p = task.prime
     t0 = time.perf_counter()
@@ -250,7 +226,6 @@ def enumerate_structures(task: EnumerationTask, *, workers: int = 1) -> Enumerat
 
     stats["row_scans"] += 1
     top = row_candidates(h4, task, 0, {})
-    chunks = [top[i::workers] for i in range(workers)]
 
     found: dict[str, TriangleOp] = {}
 
@@ -262,7 +237,7 @@ def enumerate_structures(task: EnumerationTask, *, workers: int = 1) -> Enumerat
                     f"candidate cap of {task.max_leaves} tables exceeded"
                 )
             op = _table_from_rows(h4, p, assigned)
-            if _passes_full_suite(h4, op, task.mode):
+            if all(r.passed for r in axiom_suite(h4, op, task.mode).values()):
                 stats["passed"] += 1
                 found[op_serial(op)] = op
             return
@@ -276,9 +251,8 @@ def enumerate_structures(task: EnumerationTask, *, workers: int = 1) -> Enumerat
             descend(row + 1, assigned)
         del assigned[row]
 
-    for chunk in chunks:
-        for cand in chunk:
-            descend(1, {0: cand})
+    for cand in top:
+        descend(1, {0: cand})
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0
@@ -314,12 +288,7 @@ def family_evaluations(families: dict[str, TriangleOp], p: int) -> dict[str, tup
     canonical serialization; values are (label, parameter or None)."""
     out: dict[str, tuple] = {}
     for label, op in families.items():
-        params: set[int] = set()
-        for row in op.table:
-            for cell in row:
-                for entry in cell:
-                    if isinstance(entry, Poly):
-                        params.update(entry.support)
+        params = table_params(op)
         if not params:
             key = op_serial(_op_mod_p(op, p, {}))
             out.setdefault(key, (label, None))

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import kernel_basis, parse_rational
+from .multipoly import Poly, VarRegistry
+from .solver import Constraint, ConstraintSystem, solve
 
 __all__ = [
     "HopfStructure",
@@ -88,13 +90,6 @@ class AxiomReport:
     def first_failure(self) -> AxiomEntry | None:
         return self.entries[0] if self.entries else None
 
-    def axioms_checked(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.entries:
-            if e.axiom not in seen:
-                seen.append(e.axiom)
-        return tuple(seen)
-
 
 class _ReportBuilder:
     def __init__(self):
@@ -123,10 +118,6 @@ def _check_len(H: HopfStructure, a) -> None:
 
 def basis_element(H: HopfStructure, i: int) -> tuple:
     return tuple(Fraction(1) if k == i else Fraction(0) for k in range(H.dim))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
@@ -319,9 +310,6 @@ def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
     tensor square, counit 1), obtained with the branch solver.  Raises if any
     branch is unresolved or carries a free parameter (the solution set would
     not be finite)."""
-    from . import classifier  # deferred: classifier builds on this module
-    from .multipoly import Poly, VarRegistry
-
     n = H.dim
     reg = VarRegistry()
     xs = [reg.var(f"x{i}") for i in range(n)]
@@ -331,7 +319,7 @@ def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
     for i in range(n):
         if H.counit[i]:
             eq = eq + xs[i] * H.counit[i]
-    constraints.append(classifier.Constraint(eq, "group_like_counit", ()))
+    constraints.append(Constraint(eq, "group_like_counit", ()))
 
     for j in range(n):
         for k in range(n):
@@ -341,11 +329,11 @@ def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
                 if c:
                     lhs = lhs + xs[i] * c
             constraints.append(
-                classifier.Constraint(lhs - xs[j] * xs[k], "group_like_comul", (j, k))
+                Constraint(lhs - xs[j] * xs[k], "group_like_comul", (j, k))
             )
 
-    system = classifier.ConstraintSystem(reg, constraints, "group_like")
-    branches, _stats = classifier.solve(system)
+    system = ConstraintSystem(reg, constraints, "group_like")
+    branches, _stats = solve(system)
     points: list[tuple] = []
     for br in branches:
         if br.status == "inconsistent":

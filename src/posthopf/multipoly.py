@@ -180,17 +180,6 @@ class Poly:
     def _sorted_monos(self):
         return sorted(self.terms, key=_mono_key, reverse=True)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[self._sorted_monos()[0]]
-
-    def monic(self) -> "Poly":
-        lead = self.leading_coefficient()
-        if lead == 0 or lead == 1:
-            return self
-        return self * (Fraction(1) / lead)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -388,25 +377,6 @@ class Poly:
                 raise ValueError(f"{self.registry.name_of(vid)!r} does not divide every term")
             out[tuple(reduced)] = c
         return Poly(self.registry, out)
-
-    def linear_split(self, vid: int) -> tuple["Poly", "Poly"]:
-        """Write the polynomial as ``A*v + B`` with ``A`` free of ``v``.
-        Requires degree exactly 1 in ``v``."""
-        if self.degree_in(vid) != 1:
-            raise ValueError("polynomial is not linear in the variable")
-        a_terms: dict = {}
-        b_terms: dict = {}
-        for mono, c in self.terms.items():
-            stripped = None
-            for v, e in mono:
-                if v == vid:
-                    stripped = tuple(t for t in mono if t[0] != vid)
-                    break
-            if stripped is None:
-                b_terms[mono] = c
-            else:
-                a_terms[stripped] = c
-        return Poly(self.registry, a_terms), Poly(self.registry, b_terms)
 
     # -- comparison and printing --------------------------------------------
 

@@ -10,6 +10,7 @@ residuals double as constraint equations for the classifier.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +38,7 @@ __all__ = [
     "check_weighted_assoc",
     "check_unitality",
     "check_counit_absorption",
-    "relaxed_suite",
+    "axiom_suite",
     "extend_generators",
     "generator_columns",
     "FAMILY_LABELS",
@@ -46,6 +47,7 @@ __all__ = [
     "op_to_json_dict",
     "op_from_json_dict",
     "op_serial",
+    "table_params",
 ]
 
 FAMILY_LABELS = ("i", "ii", "iii", "iv", "v", "vi")
@@ -64,9 +66,6 @@ class TriangleOp:
             len(row) != n or any(len(cell) != n for cell in row) for row in self.table
         ):
             raise ValueError("table shape does not match dim")
-
-    def cell(self, i: int, j: int) -> tuple:
-        return self.table[i][j]
 
 
 @dataclass(frozen=True)
@@ -255,13 +254,22 @@ def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     return rb.done()
 
 
-def relaxed_suite(H: HopfStructure, op: TriangleOp) -> dict[str, AxiomReport]:
-    """The axiom battery for the relaxed setting, in fixed order."""
-    return {
+def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
+    """The defining axioms of the mode, in fixed order: coalgebra
+    homomorphism, product rule and weighted associativity, plus unitality in
+    weak mode.  The symbolic checks, the solver's constraint system and the
+    F_p oracle all use this one definition; the order fixes the order of the
+    solver's equations."""
+    if mode not in ("relaxed", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    suite = {
         "coalgebra_hom": check_coalgebra_hom(H, op),
         "distributivity": check_distributivity(H, op),
         "weighted_assoc": check_weighted_assoc(H, op),
     }
+    if mode == "weak":
+        suite["unitality"] = check_unitality(H, op)
+    return suite
 
 
 # -- generator-table completion -------------------------------------------------
@@ -361,6 +369,22 @@ def family_table(which: str, param=None) -> TriangleOp:
 
 # -- serialization ----------------------------------------------------------------
 
+def table_params(op: TriangleOp) -> dict[int, str]:
+    """Parameter ids of a symbolic table mapped to their names, in
+    first-occurrence order over the row-major, term-ordered serialization."""
+    params: dict[int, str] = {}
+    for row in op.table:
+        for cell in row:
+            for entry in cell:
+                if not isinstance(entry, Poly):
+                    continue
+                for mono in entry._sorted_monos():
+                    for v, _ in mono:
+                        if v not in params:
+                            params[v] = entry.registry.name_of(v)
+    return params
+
+
 def op_ring(op: TriangleOp):
     """Uniform coefficient ring of the table: "rational", "poly", or
     ("prime", p)."""
@@ -415,6 +439,11 @@ def op_from_json_dict(data: dict) -> TriangleOp:
         rows = data["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operation payload: {exc}") from exc
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(cell, list) for cell in row)
+        for row in rows
+    ):
+        raise ValueError("operation table must be a list of rows of coefficient lists")
     if isinstance(ring, dict):
         p = int(ring["prime"])
         table = tuple(
@@ -429,12 +458,12 @@ def op_from_json_dict(data: dict) -> TriangleOp:
     elif ring == "poly":
         reg = VarRegistry()
         names: set[str] = set()
-        import re as _re
-
         for row in rows:
             for cell in row:
                 for e in cell:
-                    names.update(_re.findall(r"[A-Za-z_][A-Za-z0-9_]*", e))
+                    if not isinstance(e, str):
+                        raise ValueError(f"not a polynomial string: {e!r}")
+                    names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", e))
         for name in sorted(names):
             reg.add(name)
         table = tuple(

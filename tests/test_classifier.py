@@ -144,7 +144,7 @@ def test_solver_verification_is_a_hard_error(monkeypatch):
     reg = VarRegistry()
     x = reg.var("x")
     system = toy_system([x - 1], reg)
-    import posthopf.classifier as mod
+    import posthopf.solver as mod
 
     original = mod._prepare
 

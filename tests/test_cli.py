@@ -85,6 +85,26 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "op", [
+        "family:i:a=1/0",
+        {"dim": 4, "ring": "rational", "table": 5},
+        {"dim": 4, "ring": "rational", "table": [[[1, 0, 0, 0]] * 4] * 4},
+        {"dim": 4, "ring": "poly", "table": [[[1, 0, 0, 0]] * 4] * 4},
+        {"dim": 2, "ring": "rational", "table": [[["1", "0"]] * 2] * 2},
+    ],
+    ids=["zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries", "dim-mismatch"],
+)
+def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
+    if isinstance(op, dict):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(op), "utf-8")
+        op = str(path)
+    code, _, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", op)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "verify", "--hopf", "builtin:h4", "--frobnicate")
     assert code == 2
@@ -150,6 +170,8 @@ def test_enumerate_cli(tmp_path, capsys):
     )
     assert code == 0
     assert "10 structures" in out
+    # human output is byte-stable: no timings
+    assert run(capsys, "enumerate", "--prime", "3", "--out", str(out_path))[1] == out
     payload = json.loads(out_path.read_text("utf-8"))
     assert payload["count"] == 10
     assert len(payload["structures"]) == 10

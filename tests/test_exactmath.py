@@ -8,7 +8,6 @@ from posthopf.exactmath import (
     FpElement,
     is_odd_prime,
     kernel_basis,
-    mat_vec,
     parse_rational,
     rational_mod_p,
     rref,
@@ -33,6 +32,10 @@ def test_fraction_serialization():
         parse_rational("1.5")
     with pytest.raises(ValueError):
         parse_rational("a")
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+    with pytest.raises(ValueError):
+        parse_rational(5)
 
 
 @given(rationals, rationals)
@@ -114,6 +117,16 @@ def _random_matrix(rng, rows, cols):
         [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+def mat_vec(matrix, vec):
+    out = []
+    for row in matrix:
+        acc = row[0] * vec[0]
+        for a, b in zip(row[1:], vec[1:]):
+            acc = acc + a * b
+        out.append(acc)
+    return out
 
 
 def test_rref_idempotent_and_rank_nullity():

@@ -143,17 +143,6 @@ def test_structures_sorted_and_distinct(enum_p5):
     assert len(set(serials)) == len(serials)
 
 
-def test_partition_independence(enum_p3):
-    split = enumerate_structures(EnumerationTask(prime=3), workers=2)
-    assert [op_serial(o) for o in split.structures] == [
-        op_serial(o) for o in enum_p3.structures
-    ]
-    split3 = enumerate_structures(EnumerationTask(prime=3), workers=3)
-    assert [op_serial(o) for o in split3.structures] == [
-        op_serial(o) for o in enum_p3.structures
-    ]
-
-
 def test_leaf_cap_raises():
     with pytest.raises(EnumerationLimitError):
         enumerate_structures(EnumerationTask(prime=3, max_leaves=2))
