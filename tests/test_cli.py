@@ -180,7 +180,7 @@ def test_enumerate_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "weak"])
-@pytest.mark.parametrize("prime", [3, 5])
+@pytest.mark.parametrize("prime", [3, 5, 13])
 def test_enumerate_cli_golden(tmp_path, capsys, mode, prime):
     out_path = tmp_path / "enum.json"
     code, _, _ = run(
