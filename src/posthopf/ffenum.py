@@ -12,17 +12,32 @@ the final check would reject.
 The search runs over the 32 generator unknowns, not all 64 coefficients: the
 product rule forces the remaining columns, the same completion the
 classifier uses.
+
+Each chosen row is folded (substituted, mod p) into the constraints of every
+deeper row once, and the folded system is carried down the recursion, so all
+children of a prefix share that work; a row whose constraints fold to a
+nonzero constant has no candidates.  A row's candidates come from its folded
+constraints: those linear in its eight slots are row-reduced over F_p with
+the two counit pins, and a small affine solution space is enumerated and
+filtered by the rest; a large one is scanned in two counit-pinned halves.
+
+The oracle stays independent of the branch solver: it shares the constraint
+system that ``classifier`` generates, but none of the solver's moves
+(substitution order, factor splits, side conditions).  Every point it keeps
+satisfies every constraint of its row, and every emitted table passes the
+full axiom suite over F_p.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .classifier import _cached_system
-from .exactmath import FpElement, is_odd_prime, rational_mod_p
+from .exactmath import FpElement, is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
@@ -116,36 +131,71 @@ def _system_terms(mode: str):
     return grouped
 
 
-def _compile_row_constraints(p: int, mode: str, row: int, assigned) -> list | None:
-    """Substitute the already-chosen rows into the depth-``row`` constraints,
-    producing term lists over this row's eight local slots.  Returns None if
-    some constraint already reduced to a nonzero constant."""
+def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
+    """Substitute the chosen ``values`` of ``row`` into the constraints of
+    every deeper depth of ``system`` (depth -> list of term lists, as in
+    :func:`_system_terms`, or None for a depth already infeasible).  The
+    result holds the depths beyond ``row`` with coefficients reduced mod p
+    and vanishing constraints dropped; a depth becomes None as soon as one of
+    its constraints folds to a nonzero constant."""
     row_of, local_of = _generator_layout()
-    compiled = []
-    for terms in _system_terms(mode)[row]:
-        acc: dict[tuple, int] = {}
-        for coeff, mono in terms:
-            c = coeff % p
-            local = []
-            for v, e in mono:
-                r = row_of[v]
-                if r < row:
-                    c = c * pow(assigned[r][local_of[v]], e, p) % p
-                else:
-                    local.append((local_of[v], e))
-            if c == 0:
-                continue
-            key = tuple(local)
-            c = (acc.get(key, 0) + c) % p
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        if not acc:
+    folded: dict = {}
+    for depth, constraints in system.items():
+        if depth <= row:
             continue
-        if len(acc) == 1 and () in acc:
+        if constraints is None:
+            folded[depth] = None
+            continue
+        out = []
+        for terms in constraints:
+            acc: dict = {}
+            for coeff, mono in terms:
+                k = 0
+                for v, e in mono:
+                    if row_of[v] != row:
+                        break
+                    coeff *= values[local_of[v]] ** e
+                    k += 1
+                if k:
+                    coeff %= p
+                    if not coeff:
+                        continue
+                    mono = mono[k:]
+                acc[mono] = acc.get(mono, 0) + coeff
+            reduced = [(c % p, mono) for mono, c in acc.items() if c % p]
+            if not reduced:
+                continue
+            if len(reduced) == 1 and reduced[0][1] == ():
+                out = None
+                break
+            out.append(reduced)
+        if out is not None:
+            out.sort(key=len)
+        folded[depth] = out
+    return folded
+
+
+def _row_system(p: int, constraints) -> list | None:
+    """The depth-``row`` constraints of a system in which every earlier row
+    is folded, as term lists over this row's eight local slots.  Returns
+    None if some constraint is a nonzero constant."""
+    if constraints is None:
+        return None
+    _row_of, local_of = _generator_layout()
+    compiled = []
+    for terms in constraints:
+        acc: dict = {}
+        for coeff, mono in terms:
+            local = tuple((local_of[v], e) for v, e in mono)
+            acc[local] = (acc.get(local, 0) + coeff) % p
+        reduced = sorted(
+            ((local, c) for local, c in acc.items() if c), key=lambda t: (len(t[0]), t[0])
+        )
+        if not reduced:
+            continue
+        if len(reduced) == 1 and reduced[0][0] == ():
             return None
-        compiled.append(sorted(acc.items(), key=lambda t: (len(t[0]), t[0])))
+        compiled.append(reduced)
     compiled.sort(key=len)
     return compiled
 
@@ -162,19 +212,56 @@ def _eval_compiled(terms, vals, p: int) -> int:
     return total
 
 
-def row_candidates(H4: HopfStructure, task: EnumerationTask, row_index: int, assigned_rows) -> list[tuple]:
-    """All (x|>g, x|>v) value pairs over F_p for basis row ``row_index`` that
-    satisfy every constraint whose support lies within the assigned rows plus
-    this one.  Counit compatibility pins two of the eight slots, shrinking
-    the scan to p**6; the remaining constraints filter exactly."""
-    if tuple(H4.counit) != (1, 1, 0, 0) or H4.dim != 4:
-        raise ValueError("row enumeration is specific to the Sweedler algebra")
-    p = task.prime
-    compiled = _compile_row_constraints(p, task.mode, row_index, assigned_rows)
-    if compiled is None:
-        return []
-    eps_x = int(H4.counit[row_index])
+def _is_linear(terms) -> bool:
+    return all(len(mono) <= 1 and (not mono or mono[0][1] == 1) for mono, _c in terms)
 
+
+# an affine solution space is enumerated up to p**3 points, the size of one
+# scanned half; the wider spaces of rows 1 and g are scanned instead
+_MAX_FREE_SLOTS = 3
+
+
+def _solve_linear(p: int, eps_x: int, linear, nonlinear) -> list[tuple] | None:
+    """Candidates of a row from its linear constraints and the counit pins
+    (v0 + v1 = eps(x), w0 + w1 = 0) by row reduction over F_p, filtered by
+    the nonlinear constraints.  Returns None when the affine solution space
+    has more than ``_MAX_FREE_SLOTS`` free slots."""
+    # each equation scaled to a leading 1, so that repeats reduce only once
+    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x % p), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
+    for terms in linear:
+        coeffs = [0] * 9
+        for mono, c in terms:
+            if mono:
+                coeffs[mono[0][0]] = c
+            else:
+                coeffs[8] = -c
+        inv = pow(next(c for c in coeffs if c), -1, p)
+        matrix.add(tuple(c * inv % p for c in coeffs))
+    reduced, pivots = rref([[FpElement(x, p) for x in r] for r in sorted(matrix)])
+    if pivots[-1] == 8:
+        return []
+    free = [c for c in range(8) if c not in pivots]
+    if len(free) > _MAX_FREE_SLOTS:
+        return None
+    pivot_rows = [(pc, [x.value for x in reduced[i]]) for i, pc in enumerate(pivots)]
+    candidates = []
+    for point in itertools.product(range(p), repeat=len(free)):
+        vals = [0] * 8
+        for f, x in zip(free, point):
+            vals[f] = x
+        for pc, r in pivot_rows:
+            vals[pc] = (r[8] - sum(r[f] * vals[f] for f in free)) % p
+        vals = tuple(vals)
+        if all(_eval_compiled(c, vals, p) == 0 for c in nonlinear):
+            candidates.append(vals)
+    # the scan's order: lexicographic in the slots the counit pins leave free
+    candidates.sort(key=lambda v: (v[1], v[2], v[3], v[5], v[6], v[7]))
+    return candidates
+
+
+def _scan(p: int, eps_x: int, compiled) -> list[tuple]:
+    """Candidates of a row by scanning the counit-pinned x|>g half, then the
+    x|>v half for each survivor, lexicographically in slots 1-3, 5-7."""
     v_only, rest = [], []
     for c in compiled:
         bucket = v_only if all(idx < 4 for mono, _ in c for idx, _e in mono) else rest
@@ -201,6 +288,40 @@ def row_candidates(H4: HopfStructure, task: EnumerationTask, row_index: int, ass
     return candidates
 
 
+def row_candidates(
+    H4: HopfStructure, task: EnumerationTask, row_index: int, assigned_rows, system=None
+) -> list[tuple]:
+    """All (x|>g, x|>v) value pairs over F_p for basis row ``row_index`` that
+    satisfy every constraint whose support lies within the assigned rows plus
+    this one, lexicographically in slots 1-3, 5-7.
+
+    ``system`` is the constraint system with ``assigned_rows`` already folded
+    in (see :func:`_fold`); without it the rows are folded here.  Counit
+    compatibility pins slots 0 and 4.  The constraints linear in this row's
+    slots are row-reduced together with those pins; when at most
+    ``_MAX_FREE_SLOTS`` slots stay free, the affine solution space is
+    enumerated and filtered by the nonlinear constraints.  Otherwise the two
+    pinned halves are scanned, p**3 points each, against every constraint."""
+    if tuple(H4.counit) != (1, 1, 0, 0) or H4.dim != 4:
+        raise ValueError("row enumeration is specific to the Sweedler algebra")
+    p = task.prime
+    if system is None:
+        system = _system_terms(task.mode)
+        for r in range(row_index):
+            system = _fold(p, system, r, assigned_rows[r])
+    compiled = _row_system(p, system[row_index])
+    if compiled is None:
+        return []
+    eps_x = int(H4.counit[row_index])
+    linear, nonlinear = [], []
+    for c in compiled:
+        (linear if _is_linear(c) else nonlinear).append(c)
+    candidates = _solve_linear(p, eps_x, linear, nonlinear)
+    if candidates is None:
+        candidates = _scan(p, eps_x, compiled)
+    return candidates
+
+
 # -- full enumeration ------------------------------------------------------------
 
 def _table_from_rows(H4: HopfStructure, p: int, rows: dict) -> TriangleOp:
@@ -224,12 +345,13 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
     t0 = time.perf_counter()
     stats = {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 0}
 
+    base = _system_terms(task.mode)
     stats["row_scans"] += 1
-    top = row_candidates(h4, task, 0, {})
+    top = row_candidates(h4, task, 0, {}, base)
 
     found: dict[str, TriangleOp] = {}
 
-    def descend(row: int, assigned: dict) -> None:
+    def descend(row: int, assigned: dict, system: dict) -> None:
         if row == 4:
             stats["leaves"] += 1
             if task.max_leaves is not None and stats["leaves"] > task.max_leaves:
@@ -242,17 +364,17 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
                 found[op_serial(op)] = op
             return
         stats["row_scans"] += 1
-        cands = row_candidates(h4, task, row, assigned)
+        cands = row_candidates(h4, task, row, assigned, system)
         if not cands:
             stats["prefix_pruned"] += 1
             return
         for cand in cands:
             assigned[row] = cand
-            descend(row + 1, assigned)
+            descend(row + 1, assigned, _fold(p, system, row, cand))
         del assigned[row]
 
     for cand in top:
-        descend(1, {0: cand})
+        descend(1, {0: cand}, _fold(p, base, 0, cand))
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

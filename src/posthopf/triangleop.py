@@ -432,6 +432,17 @@ def op_to_json_dict(op: TriangleOp) -> dict:
     }
 
 
+_INTEGER_RE = re.compile(r"-?\d+")
+
+
+def _parse_residue(text) -> int:
+    """An F_p entry as :func:`op_to_json_dict` writes it: a decimal integer
+    string."""
+    if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def op_from_json_dict(data: dict) -> TriangleOp:
     try:
         n = int(data["dim"])
@@ -445,9 +456,11 @@ def op_from_json_dict(data: dict) -> TriangleOp:
     ):
         raise ValueError("operation table must be a list of rows of coefficient lists")
     if isinstance(ring, dict):
-        p = int(ring["prime"])
+        p = ring.get("prime")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"F_p ring tag needs an integer prime, got {ring!r}")
         table = tuple(
-            tuple(tuple(FpElement(int(e), p) for e in cell) for cell in row)
+            tuple(tuple(FpElement(_parse_residue(e), p) for e in cell) for cell in row)
             for row in rows
         )
     elif ring == "rational":

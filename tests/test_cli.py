@@ -92,8 +92,18 @@ def test_verify_malformed_json(tmp_path, capsys):
         {"dim": 4, "ring": "rational", "table": [[[1, 0, 0, 0]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[[1, 0, 0, 0]] * 4] * 4},
         {"dim": 2, "ring": "rational", "table": [[["1", "0"]] * 2] * 2},
+        {"dim": 4, "ring": {}, "table": [[["1", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": "5"}, "table": [[["1", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 5}, "table": [[[["1"], "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 5}, "table": [[[1.7, 0, 0, 0]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 5}, "table": [[[1, 0, 0, 0]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 5}, "table": [[["1.7", "0", "0", "0"]] * 4] * 4},
     ],
-    ids=["zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries", "dim-mismatch"],
+    ids=[
+        "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
+        "dim-mismatch", "fp-no-prime", "fp-string-prime", "fp-list-entry",
+        "fp-float-entries", "fp-int-entries", "fp-decimal-string",
+    ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
     if isinstance(op, dict):

@@ -1,14 +1,15 @@
 import itertools
+import math
 
 import pytest
 
+from posthopf import ffenum
 from posthopf.classifier import builtin_families
 from posthopf.exactmath import FpElement
 from posthopf.ffenum import (
     EnumerationLimitError,
     EnumerationTask,
-    _compile_row_constraints,
-    _eval_compiled,
+    _generator_layout,
     _system_terms,
     compare_with_families,
     enumerate_structures,
@@ -73,28 +74,75 @@ def test_row2_candidates_respect_primitive_spaces(h4):
     assert {c[4:] for c in cands} == {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)}
 
 
-def test_row_candidates_match_brute_force(h4):
-    # pruning soundness: the filtered candidates for rows 1 (index 0) and g
-    # (index 1) equal a brute-force scan of all p**8 pairs against the same
-    # depth-limited constraints
-    p = 3
-    task = EnumerationTask(prime=p)
+def brute_force_candidates(p, mode, row, assigned):
+    """Every point of F_p**8 for row ``row`` at which all depth-``row``
+    constraints vanish, evaluated unreduced at the full point (the assigned
+    rows plus the candidate), in row_candidates' order: lexicographic in
+    slots 1-3, 5-7."""
+    row_of, local_of = _generator_layout()
+    constraints = _system_terms(mode)[row]
+    point = [
+        assigned[r][k] if r < row else 0 for r, k in zip(row_of, local_of)
+    ]
+    slots = [v for v, r in enumerate(row_of) if r == row]
+    out = []
+    for cand in itertools.product(range(p), repeat=8):
+        for v in slots:
+            point[v] = cand[local_of[v]]
+        if all(
+            sum(c * math.prod(point[v] ** e for v, e in mono) for c, mono in terms) % p == 0
+            for terms in constraints
+        ):
+            out.append(cand)
+    out.sort(key=lambda c: (c[1], c[2], c[3], c[5], c[6], c[7]))
+    return out
 
-    def brute(row, assigned):
-        compiled = _compile_row_constraints(p, "relaxed", row, assigned)
-        if compiled is None:
-            return set()
-        out = set()
-        for vals in itertools.product(range(p), repeat=8):
-            if all(_eval_compiled(c, vals, p) == 0 for c in compiled):
-                out.add(vals)
-        return out
 
-    fast0 = set(row_candidates(h4, task, 0, {}))
-    assert fast0 == brute(0, {})
-    some_row0 = sorted(fast0)[0]
-    fast1 = set(row_candidates(h4, task, 1, {0: some_row0}))
-    assert fast1 == brute(1, {0: some_row0})
+def visited_scans(monkeypatch, task):
+    """(row, assigned rows, candidates) of every row scan the search makes."""
+    scans = []
+
+    def recording(h4, task, row, assigned, *system):
+        cands = row_candidates(h4, task, row, assigned, *system)
+        scans.append((row, dict(assigned), cands))
+        return cands
+
+    with monkeypatch.context() as m:
+        m.setattr(ffenum, "row_candidates", recording)
+        enumerate_structures(task)
+    return scans
+
+
+def test_row_candidates_match_brute_force(h4, monkeypatch):
+    # pruning soundness, order included: at every prefix the p = 3 search
+    # visits, the candidates (folded through the recursion, and folded from
+    # the assigned rows alone) equal a brute-force scan of all p**8 points
+    for mode in ("relaxed", "weak"):
+        task = EnumerationTask(prime=3, mode=mode)
+        scans = visited_scans(monkeypatch, task)
+        assert {row for row, _, _ in scans} == {0, 1, 2, 3}
+        for row, assigned, cands in scans:
+            assert cands == brute_force_candidates(3, mode, row, assigned)
+            assert row_candidates(h4, task, row, assigned) == cands
+    # off the search path: here a row-gv constraint that is not linear in
+    # gv's slots removes the one point the linear ones leave
+    assigned = {0: (0, 1, 0, 0, 0, 0, 0, 0), 1: (0, 1, 0, 0, 0, 0, 0, 0), 2: (0, 0, 2, 1, 0, 0, 0, 0)}
+    task = EnumerationTask(prime=3)
+    assert row_candidates(h4, task, 3, assigned) == brute_force_candidates(3, "relaxed", 3, assigned)
+
+
+def test_row_candidates_match_brute_force_p5(monkeypatch):
+    # a sample at p = 5: the first scan of row v, and the first scans of row
+    # gv with and without candidates (every row-v scan has some)
+    task = EnumerationTask(prime=5)
+    scans = visited_scans(monkeypatch, task)
+    sample = [
+        next(s for s in scans if s[0] == 2),
+        next(s for s in scans if s[0] == 3 and s[2]),
+        next(s for s in scans if s[0] == 3 and not s[2]),
+    ]
+    for row, assigned, cands in sample:
+        assert cands == brute_force_candidates(5, "relaxed", row, assigned)
 
 
 def test_enumeration_matches_family_evaluations_p3(enum_p3):

@@ -1,0 +1,61 @@
+"""The package's import layering, read from the source with ``ast``.
+
+Each module may import only the modules below it in ``LAYERS``; the package
+facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
+module level only, so the layering is visible where a module starts.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posthopf"
+LAYERS = [
+    "exactmath", "multipoly", "solver", "hopfcore", "triangleop", "classifier", "ffenum", "cli",
+]
+FACADE = ["__init__", "__main__"]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The posthopf modules a module imports, relative or absolute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "posthopf":
+                parts = node.module.split(".")
+                out.update([parts[1]] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "posthopf" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def function_level_imports(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            lines.extend(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(set(lines))
+
+
+def test_import_layering():
+    rank = {name: i for i, name in enumerate(LAYERS + FACADE)}
+    sources = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+    # a new module must be given its place in the order
+    assert sorted(sources) == sorted(rank)
+    for name, path in sources.items():
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        assert function_level_imports(tree) == [], f"{name}: import inside a function"
+        for target in package_imports(tree):
+            assert target in rank, f"{name} imports unknown module {target}"
+            if name not in FACADE:
+                assert rank[target] < rank[name], f"{name} imports {target}, which sits above it"
