@@ -441,7 +441,7 @@ def hopf_to_json_dict(H: HopfStructure) -> dict:
 
 def hopf_from_json_dict(data: dict) -> HopfStructure:
     try:
-        n = int(data["dim"])
+        n = data["dim"]
         basis = tuple(str(s) for s in data["basis"])
         mul = tuple(
             tuple(tuple(parse_rational(c) for c in row) for row in plane)
@@ -456,6 +456,8 @@ def hopf_from_json_dict(data: dict) -> HopfStructure:
         antipode = tuple(tuple(parse_rational(c) for c in row) for row in data["antipode"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Hopf structure payload: {exc}") from exc
+    if type(n) is not int:  # a bool, float or string is not a dimension
+        raise ValueError(f"Hopf structure dim must be an integer, got {n!r}")
     return HopfStructure(n, basis, mul, unit, comul, counit, antipode)
 
 

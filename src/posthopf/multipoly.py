@@ -27,8 +27,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactmath import FpElement, rational_mod_p
+from .exactmath import FpElement, parse_rational, rational_mod_p
 
 __all__ = ["VarRegistry", "Poly", "parse_poly", "compose_many", "try_factor_split"]
 
@@ -87,6 +88,9 @@ class VarRegistry:
         return Poly.constant(self, value)
 
 
+# one classify run keys about 20k distinct monomials; the memo saves the
+# rebuild and lets every canon_key share one key tuple per monomial
+@lru_cache(maxsize=1 << 15)
 def _mono_key(mono: Mono):
     if not mono:
         return (0, ())
@@ -97,6 +101,21 @@ def _mono_key(mono: Mono):
         dense[v] = e
         deg += e
     return (deg, tuple(dense))
+
+
+def _accumulate(terms: dict, mono: Mono, c: Fraction) -> None:
+    """``terms[mono] += c`` for a nonzero ``c``, dropping a sum that cancels.
+    A new entry stores ``c`` itself, not ``0 + c``, which would build a
+    fresh Fraction through the slow reflected operator."""
+    got = terms.get(mono)
+    if got is None:
+        terms[mono] = c
+        return
+    s = got + c
+    if s:
+        terms[mono] = s
+    else:
+        del terms[mono]
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -200,11 +219,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, c in o.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+            _accumulate(terms, mono, c)
         return Poly(self.registry, terms)
 
     __radd__ = __add__
@@ -236,12 +251,7 @@ class Poly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
         return Poly(self.registry, out)
 
     __rmul__ = __mul__
@@ -286,20 +296,11 @@ class Poly:
                 else:
                     rest.append((v, ex))
             if e == 0:
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                _accumulate(out, mono, c)
                 continue
             rest_mono = tuple(rest)
             for m2, c2 in val_pow(e).terms.items():
-                m = _mono_mul(rest_mono, m2)
-                s = out.get(m, 0) + c * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                _accumulate(out, _mono_mul(rest_mono, m2), c * c2)
         return Poly(self.registry, out)
 
     def compose(self, mapping: dict[int, "Poly"], registry: VarRegistry) -> "Poly":
@@ -417,9 +418,13 @@ class Poly:
             if not self.terms:
                 self._canon = ()
             else:
-                items = sorted(((_mono_key(m), m) for m in self.terms), reverse=True)
-                lead = self.terms[items[0][1]]
-                self._canon = tuple((mk, self.terms[m] / lead) for mk, m in items)
+                terms = self.terms
+                items = sorted(((_mono_key(m), m) for m in terms), reverse=True)
+                lead = terms[items[0][1]]
+                if lead == 1:
+                    self._canon = tuple((mk, terms[m]) for mk, m in items)
+                else:
+                    self._canon = tuple((mk, terms[m] / lead) for mk, m in items)
         return self._canon
 
     def linear_candidates(self) -> tuple:
@@ -492,6 +497,8 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"polynomial ends early: {text!r}")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -522,7 +529,7 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
         kind, val = peek()
         if kind == "rat":
             take()
-            coeff = Fraction(val)
+            coeff = parse_rational(val)
             while peek() == ("op", "*"):
                 take()
                 vid, e = parse_varpow()
@@ -583,11 +590,7 @@ def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list
                     piece = piece * var_pow(v, e)
                 mono_cache[mono] = piece
             for m2, c2 in piece.terms.items():
-                s = out.get(m2, 0) + c * c2
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+                _accumulate(out, m2, c * c2)
         results.append(Poly(registry, out))
     return results
 

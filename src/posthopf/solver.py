@@ -13,14 +13,23 @@ branch dies (inconsistent).  Every resolved branch is re-verified by exact
 substitution into the original system; a verification failure is a hard
 error, never a silent drop.
 
+A branch's equations form a store: a list sorted by ``Poly.canon_key`` with
+unique keys, where of two equations with one key (rational multiples of
+each other) the one first in input order stays.  ``_prepare`` builds it
+once; after each move ``_refile`` re-keys only the equations the move
+changed and inserts them among the untouched ones, which keep their keys
+and their order.
+
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs produce identical branches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .multipoly import Poly, VarRegistry, compose_many, try_factor_split
 
@@ -92,15 +101,45 @@ def _param_names(count: int) -> list[str]:
 
 
 def _prepare(equations) -> list[Poly]:
-    """Drop zeros, deduplicate up to a rational factor, sort canonically."""
-    seen: dict[tuple, Poly] = {}
-    for eq in equations:
-        if eq.is_zero():
-            continue
-        key = eq.canon_key()
-        if key not in seen:
-            seen[key] = eq
-    return [seen[key] for key in sorted(seen)]
+    """Build the equation store from scratch: drop zeros, stable-sort by
+    ``canon_key`` and keep the first equation of each key."""
+    eqs = sorted((eq for eq in equations if not eq.is_zero()), key=Poly.canon_key)
+    return [
+        eq for i, eq in enumerate(eqs)
+        if not i or eq.canon_key() != eqs[i - 1].canon_key()
+    ]
+
+
+def _refile(eqs: list[Poly], changed: dict[int, Poly]) -> list[Poly]:
+    """The store ``eqs`` with ``eqs[i]`` replaced by ``changed[i]``.
+
+    ``eqs`` must be sorted and unique outside the changed positions.  Only
+    the replacements are keyed and sorted; they are inserted by bisection
+    among the untouched equations, which keep their keys and their order.
+    The result equals ``_prepare`` over the replaced list: zeros drop out,
+    and of two equations with one key the one earlier in ``eqs`` stays.
+    """
+    out = []
+    origin = []
+    for j, eq in enumerate(eqs):
+        if j not in changed:
+            out.append(eq)
+            origin.append(j)
+    fresh = sorted(
+        ((eq.canon_key(), i, eq) for i, eq in changed.items() if not eq.is_zero()),
+        key=itemgetter(0),
+    )
+    lo = 0
+    for key, i, eq in fresh:
+        pos = bisect_left(out, key, lo, key=Poly.canon_key)
+        if pos == len(out) or out[pos].canon_key() != key:
+            out.insert(pos, eq)
+            origin.insert(pos, i)
+        elif i < origin[pos]:
+            out[pos] = eq
+            origin[pos] = i
+        lo = pos
+    return out
 
 
 def _bare_var(poly: Poly) -> int | None:
@@ -169,18 +208,16 @@ def solve(
         eqs, assign, nonzero, watch, depth, trace = stack.pop()
         while True:
             # cancel nonzero variables out of equations they divide
-            reduced = []
-            changed = False
-            for eq in eqs:
+            changed = {}
+            for i, eq in enumerate(eqs):
                 while True:
                     hit = next((v for v in eq.content_vars() if v in nonzero), None)
                     if hit is None:
                         break
                     eq = eq.divide_once_by(hit)
-                    changed = True
-                reduced.append(eq)
+                    changed[i] = eq
             if changed:
-                eqs = _prepare(reduced)
+                eqs = _refile(eqs, changed)
 
             # (a) dead branches: nonzero constants, contradicted side
             # conditions, or (restricted mode) equations with no solvable
@@ -229,7 +266,10 @@ def solve(
                 expr = rest * (Fraction(-1) / a)
                 assign = {w: val.substitute(v, expr) for w, val in assign.items()}
                 assign[v] = expr
-                eqs = _prepare(eq2.substitute(v, expr) for eq2 in eqs)
+                eqs = _refile(eqs, {
+                    i: eq2.substitute(v, expr)
+                    for i, eq2 in enumerate(eqs) if v in eq2.support
+                })
                 watch = tuple(w.substitute(v, expr) for w in watch)
                 if v in nonzero:
                     nonzero = nonzero - {v}
@@ -264,6 +304,7 @@ def solve(
                     leaf("unresolved", assign, eqs, "limit exceeded", trace)
                     break
                 rest = [e for e in eqs if e is not eq]
+                last = len(rest)  # each factor comes last, so it loses every tie
                 stats["splits"] += 1
                 stats["nodes"] += len(factors)
                 children = []
@@ -278,7 +319,7 @@ def solve(
                             child_watch.append(prior)
                     children.append(
                         (
-                            _prepare(rest + [factor]),
+                            _refile(rest + [factor], {last: factor}),
                             dict(assign),
                             frozenset(child_nonzero),
                             tuple(child_watch),

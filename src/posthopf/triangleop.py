@@ -445,11 +445,13 @@ def _parse_residue(text) -> int:
 
 def op_from_json_dict(data: dict) -> TriangleOp:
     try:
-        n = int(data["dim"])
+        n = data["dim"]
         ring = data["ring"]
         rows = data["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operation payload: {exc}") from exc
+    if type(n) is not int:  # a bool, float or string is not a dimension
+        raise ValueError(f"operation dim must be an integer, got {n!r}")
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(isinstance(cell, list) for cell in row)
         for row in rows

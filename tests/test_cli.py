@@ -1,7 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posthopf.cli import main
 from posthopf.hopfcore import hopf_to_json, sweedler_h4
@@ -98,11 +102,15 @@ def test_verify_malformed_json(tmp_path, capsys):
         {"dim": 4, "ring": {"prime": 5}, "table": [[[1.7, 0, 0, 0]] * 4] * 4},
         {"dim": 4, "ring": {"prime": 5}, "table": [[[1, 0, 0, 0]] * 4] * 4},
         {"dim": 4, "ring": {"prime": 5}, "table": [[["1.7", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4.7, "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
+        {"dim": "4", "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
+        {"dim": True, "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
     ],
     ids=[
         "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
         "dim-mismatch", "fp-no-prime", "fp-string-prime", "fp-list-entry",
         "fp-float-entries", "fp-int-entries", "fp-decimal-string",
+        "float-dim", "string-dim", "bool-dim",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
@@ -113,6 +121,92 @@ def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
     code, _, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", op)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys):
+    data = json.loads(hopf_to_json(sweedler_h4()))
+    data["dim"] = 4.5
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps(data), "utf-8")
+    code, _, err = run(capsys, "verify", "--hopf", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+# -- fuzzing the verify input boundary ---------------------------------------------
+
+# entries each ring accepts, and entries it must reject
+GOOD_ENTRIES = {
+    "rational": ["0", "1", "-1", "1/2", "-3/2", "2"],
+    "poly": ["0", "1", "a", "-a", "a - 1", "2*a^2 - a", "a*b", "1/2*b"],
+    "fp": ["0", "1", "2", "-1", "12"],
+}
+BAD_ENTRIES = {
+    "rational": [1, 0.5, None, True, [], {}, "1/0", "1.5", "a", "", "1/-2"],
+    "poly": [1, 0.5, None, True, [], "1/0", "a^", "a*", "1.5", "", "a b", "a^0", "-"],
+    "fp": [1, 0.5, None, True, [], "1/2", "1.5", "a", ""],
+}
+BAD_DIMS = [3, 5, 0, -1, 4.0, 4.5, "4", True, None, [4]]
+BAD_RINGS = [
+    "real", "", 5, None, [], ["rational"], {}, {"prime": 4}, {"prime": 2}, {"prime": 1},
+    {"prime": 0}, {"prime": -3}, {"prime": "5"}, {"prime": 5.0}, {"prime": True},
+]
+BAD_TABLES = [{}, "x", 5, None, [], [[]], [[[]]]]
+
+
+@st.composite
+def op_payloads(draw):
+    """An ``--op`` payload and whether the schema accepts it: a valid 4x4x4
+    table in one ring, with at most one fault in its type, shape, ring tag
+    or dim."""
+    kind = draw(st.sampled_from(sorted(GOOD_ENTRIES)))
+    ring = {"prime": draw(st.sampled_from([3, 5, 7, 13]))} if kind == "fp" else kind
+    four = lambda inner: st.lists(inner, min_size=4, max_size=4)  # noqa: E731
+    table = draw(four(four(four(st.sampled_from(GOOD_ENTRIES[kind])))))
+    payload = {"dim": 4, "ring": ring, "table": table}
+    i, j, k = (draw(st.integers(0, 3)) for _ in range(3))
+    # entry faults are listed three times: each ring has its own bad entries
+    fault = draw(st.sampled_from([
+        None, "dim", "ring", "entry", "entry", "entry",
+        "cell", "row", "rows", "table", "key", "payload",
+    ]))
+    if fault == "dim":
+        payload["dim"] = draw(st.sampled_from(BAD_DIMS))
+    elif fault == "ring":
+        payload["ring"] = draw(st.sampled_from(BAD_RINGS))
+    elif fault == "entry":
+        table[i][j][k] = draw(st.sampled_from(BAD_ENTRIES[kind]))
+    elif fault == "cell":
+        table[i][j] = draw(st.sampled_from([table[i][j][:3], table[i][j] + ["0"], "0", 0]))
+    elif fault == "row":
+        table[i] = draw(st.sampled_from([table[i][:3], table[i] + [table[i][0]], "0"]))
+    elif fault == "rows":
+        payload["table"] = draw(st.sampled_from([table[:3], table + [table[0]]]))
+    elif fault == "table":
+        payload["table"] = draw(st.sampled_from(BAD_TABLES))
+    elif fault == "key":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif fault == "payload":
+        payload = draw(st.sampled_from([[payload], "op", 4, None]))
+    return payload, fault is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(op_payloads(), st.sampled_from(["relaxed", "weak"]))
+def test_verify_fuzzed_op_payloads(case, mode):
+    payload, valid = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.json"
+        path.write_text(json.dumps(payload), "utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--hopf", "builtin:h4", "--op", str(path), "--mode", mode])
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert code in (0, 1), err.getvalue()
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error:")
 
 
 def test_unknown_flag_rejected(capsys):

@@ -1,0 +1,182 @@
+"""The branch solver's equation store, and the solver's completeness on small
+systems other than the Sweedler one."""
+
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import assume, given, settings, strategies as st
+
+from posthopf.multipoly import Poly, VarRegistry, parse_poly
+from posthopf.solver import Constraint, ConstraintSystem, _prepare, _refile, solve
+
+
+def reference_prepare(equations) -> list[Poly]:
+    """The store's contract, written as a dict: zeros drop out, the first
+    equation of each ``canon_key`` in input order wins, sorted by key."""
+    seen: dict[tuple, Poly] = {}
+    for eq in equations:
+        if not eq.is_zero():
+            seen.setdefault(eq.canon_key(), eq)
+    return [seen[key] for key in sorted(seen)]
+
+
+# -- the store -----------------------------------------------------------------------
+
+REG = VarRegistry()
+X, Y, Z = (REG.var(name) for name in "xyz")
+MONOMIALS = [Poly.constant(REG, 1), X, Y, Z, X * Y, X * X, Y * Z]
+# rational multiples of one equation share a canon_key, so they collide
+SCALES = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+
+small_polys = st.lists(
+    st.tuples(st.integers(-2, 2), st.sampled_from(MONOMIALS)), max_size=4
+).map(lambda terms: sum((c * m for c, m in terms), Poly.zero(REG)))
+# values an elimination typically assigns; they make substituted equations
+# collide with untouched ones
+simple_values = st.sampled_from([0, 1, -1, 2, X, -X, Y, Z, X + 1, Y - Z]).map(
+    lambda value: value + Poly.zero(REG)
+)
+
+
+@st.composite
+def systems(draw):
+    bases = draw(st.lists(small_polys, min_size=2, max_size=5))
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bases), st.sampled_from(SCALES)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    return [base * scale for base, scale in picks]
+
+
+def test_first_of_two_multiples_stays():
+    two = 2 * X - 2
+    assert _prepare([two, X - 1]) == [two]
+    assert _prepare([X - 1, two]) == [X - 1]
+
+
+def test_substituted_equation_wins_over_a_later_multiple():
+    # y - 2 sorts before 2x - 2; y := x + 1 turns it into x - 1, which now
+    # comes first in input order and so replaces the untouched 2x - 2
+    store = _prepare([2 * X - 2, Y - 2])
+    assert store == [Y - 2, 2 * X - 2]
+    y = REG.id_of("y")
+    got = _refile(store, {0: store[0].substitute(y, X + 1)})
+    assert got == [X - 1]
+
+
+STORE_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+@STORE_SETTINGS
+@given(systems())
+def test_prepare_matches_reference(eqs):
+    assert _prepare(eqs) == reference_prepare(eqs)
+
+
+@STORE_SETTINGS
+@given(systems(), st.sampled_from("xyz"), st.one_of(simple_values, small_polys))
+def test_store_after_substitution(eqs, name, expr):
+    v = REG.id_of(name)
+    expr = expr.substitute(v, 0)  # an elimination's value never holds v
+    store = _prepare(eqs)
+    got = _refile(
+        store, {i: eq.substitute(v, expr) for i, eq in enumerate(store) if v in eq.support}
+    )
+    assert got == reference_prepare(eq.substitute(v, expr) for eq in store)
+
+
+@STORE_SETTINGS
+@given(systems(), st.data())
+def test_store_after_split(eqs, data):
+    store = _prepare(eqs)
+    split = data.draw(st.sampled_from(store)) if store else None
+    factor = data.draw(small_polys)
+    rest = [e for e in store if e is not split]
+    assert _refile(rest + [factor], {len(rest): factor}) == reference_prepare(rest + [factor])
+
+
+@STORE_SETTINGS
+@given(systems(), st.data())
+def test_store_after_any_replacement(eqs, data):
+    store = _prepare(eqs)
+    assume(store)
+    # replacements are often multiples of other equations in the store
+    changed = data.draw(
+        st.dictionaries(
+            st.integers(0, len(store) - 1),
+            st.one_of(
+                st.tuples(st.sampled_from(store), st.sampled_from(SCALES)).map(
+                    lambda pick: pick[0] * pick[1]
+                ),
+                small_polys,
+            ),
+        )
+    )
+    replaced = [changed.get(i, eq) for i, eq in enumerate(store)]
+    assert _refile(store, changed) == reference_prepare(replaced)
+
+
+# -- completeness ---------------------------------------------------------------------
+
+NAMES = "wxyz"
+BOX = range(-3, 4)
+
+
+@st.composite
+def factored_systems(draw):
+    """Products of linear factors with integer roots, in shapes the solver's
+    moves handle: (x - a)(x - b), x (y - c), x - c and x +- y."""
+    n = draw(st.integers(2, 4))
+    reg = VarRegistry()
+    xs = [reg.var(name) for name in NAMES[:n]]
+    var = st.integers(0, n - 1)
+    root = st.integers(-2, 2)
+    eqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(var)
+        shape = draw(st.sampled_from(("quadratic", "content", "root", "pair")))
+        if shape == "quadratic":
+            eqs.append((xs[i] - draw(root)) * (xs[i] - draw(root)))
+        elif shape == "content":
+            eqs.append(xs[i] * (xs[draw(var)] - draw(root)))
+        elif shape == "root":
+            eqs.append(xs[i] - draw(root))
+        else:
+            j = draw(var.filter(lambda j: j != i))
+            eqs.append(xs[i] + draw(st.sampled_from((1, -1))) * xs[j])
+    return ConstraintSystem(
+        reg, [Constraint(p, "toy", (k,)) for k, p in enumerate(eqs)], "toy"
+    )
+
+
+def reproduces(branch, point) -> bool:
+    """The branch's assignments give ``point`` at the point's free
+    coordinates, and its side conditions hold there."""
+    params = {}
+    for v, poly in branch.assignments.items():
+        if poly.terms and len(poly.terms) == 1:
+            ((mono, coeff),) = poly.terms.items()
+            if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
+                params.setdefault(mono[0][0], point[v])
+    if any(poly.evaluate(params) != point[v] for v, poly in branch.assignments.items()):
+        return False
+    return all(
+        parse_poly(branch.registry, cond.removesuffix(" != 0")).evaluate(params) != 0
+        for cond in branch.side_conditions
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_systems())
+def test_every_integer_solution_has_a_resolved_branch(system):
+    branches, stats = solve(system)
+    assert stats["unresolved"] == 0
+    resolved = [b for b in branches if b.status == "resolved"]
+    n = len(system.registry)
+    for point in product(BOX, repeat=n):
+        values = dict(enumerate(point))
+        if all(c.poly.evaluate(values) == 0 for c in system.equations):
+            assert any(reproduces(b, point) for b in resolved), point
