@@ -154,6 +154,10 @@ BAD_RINGS = [
 BAD_TABLES = [{}, "x", 5, None, [], [[]], [[[]]]]
 
 
+def four(inner):
+    return st.lists(inner, min_size=4, max_size=4)
+
+
 @st.composite
 def op_payloads(draw):
     """An ``--op`` payload and whether the schema accepts it: a valid 4x4x4
@@ -161,7 +165,6 @@ def op_payloads(draw):
     or dim."""
     kind = draw(st.sampled_from(sorted(GOOD_ENTRIES)))
     ring = {"prime": draw(st.sampled_from([3, 5, 7, 13]))} if kind == "fp" else kind
-    four = lambda inner: st.lists(inner, min_size=4, max_size=4)  # noqa: E731
     table = draw(four(four(four(st.sampled_from(GOOD_ENTRIES[kind])))))
     payload = {"dim": 4, "ring": ring, "table": table}
     i, j, k = (draw(st.integers(0, 3)) for _ in range(3))
