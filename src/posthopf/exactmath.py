@@ -32,14 +32,38 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the first thirteen primes as bases has no strong
+# pseudoprime below _MR_LIMIT, about 3.3e24 (J. Sorenson and J. Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so
+# below it the test is exact; above it no answer is given
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Exact primality of an odd ``p``, by deterministic Miller-Rabin.
+    Raises ``ValueError`` for ``p`` of about 3.3e24 and more, where the
+    fixed bases no longer prove primality."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"modulus {p} is too large to test for primality")
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -53,12 +77,12 @@ def _require_odd_prime(p: int) -> None:
         _KNOWN_PRIMES.add(p)
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the strict serialized form ``p``, ``-p`` or ``p/q`` (q nonzero)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)

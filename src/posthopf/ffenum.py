@@ -75,7 +75,7 @@ class EnumerationTask:
     max_leaves: int | None = None
 
     def __post_init__(self):
-        if not is_odd_prime(self.prime) or self.prime > MAX_PRIME:
+        if self.prime > MAX_PRIME or not is_odd_prime(self.prime):
             raise ValueError(
                 f"prime must be an odd prime <= {MAX_PRIME}, got {self.prime}"
             )

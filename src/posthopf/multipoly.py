@@ -1,11 +1,17 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A :class:`Poly` stores a map from monomials to nonzero Fraction
+A :class:`Poly` stores a map from monomials to nonzero rational
 coefficients; a monomial is a tuple of ``(variable id, exponent)`` pairs
-sorted by id with all exponents positive.  Printing orders terms by graded
-lexicographic order on variable ids (highest term first) and is byte-stable:
-two polynomials over the same registry are equal iff their printed forms
-coincide.
+sorted by id with all exponents positive.  A coefficient is kept as an
+``int`` whenever it is integral and as a :class:`~fractions.Fraction` only
+otherwise, so the integer systems the solver works on never go through
+``Fraction`` arithmetic.  The representation carries no meaning: ``2`` and
+``Fraction(2)`` compare, hash and print alike, so a Poly built directly with
+integral Fractions behaves exactly like its ``int`` twin.
+
+Printing orders terms by graded lexicographic order on variable ids
+(highest term first) and is byte-stable: two polynomials over the same
+registry are equal iff their printed forms coincide.
 
 String grammar (used in JSON payloads and reports)::
 
@@ -79,10 +85,10 @@ class VarRegistry:
         vid = self._ids.get(name)
         if vid is None:
             vid = self.add(name)
-        return Poly(self, {((vid, 1),): Fraction(1)})
+        return Poly(self, {((vid, 1),): 1})
 
     def var_by_id(self, vid: int) -> "Poly":
-        return Poly(self, {((vid, 1),): Fraction(1)})
+        return Poly(self, {((vid, 1),): 1})
 
     def constant(self, value) -> "Poly":
         return Poly.constant(self, value)
@@ -103,19 +109,36 @@ def _mono_key(mono: Mono):
     return (deg, tuple(dense))
 
 
-def _accumulate(terms: dict, mono: Mono, c: Fraction) -> None:
-    """``terms[mono] += c`` for a nonzero ``c``, dropping a sum that cancels.
-    A new entry stores ``c`` itself, not ``0 + c``, which would build a
-    fresh Fraction through the slow reflected operator."""
+def _num(q):
+    """A rational as a Poly stores it: ``int`` when integral, else the
+    Fraction itself."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _accumulate(terms: dict, mono: Mono, c) -> None:
+    """``terms[mono] += c`` for a nonzero ``c``, dropping a sum that cancels
+    and storing an integral result as ``int``.  A new entry stores ``c``
+    itself, not ``0 + c``; a sum of two ints stays in ``int`` arithmetic."""
     got = terms.get(mono)
-    if got is None:
-        terms[mono] = c
-        return
-    s = got + c
-    if s:
-        terms[mono] = s
-    else:
-        del terms[mono]
+    if got is not None:
+        c = got + c
+        if not c:
+            del terms[mono]
+            return
+    if type(c) is not int and c.denominator == 1:
+        c = c.numerator
+    terms[mono] = c
+
+
+def _quotient(c, lead):
+    """``c / lead`` for nonzero coefficients, as a Poly stores it; exact
+    integer division where ``lead`` divides ``c``."""
+    if type(c) is int and type(lead) is int:
+        q, r = divmod(c, lead)
+        return Fraction(c, lead) if r else q
+    return _num(c / lead)
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -130,7 +153,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 class Poly:
-    """Immutable sparse multivariate polynomial over Fraction."""
+    """Immutable sparse multivariate polynomial over the rationals.
+
+    ``terms`` maps monomials to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` otherwise.  The constructor takes ``terms``
+    as given; every operation below returns coefficients in that form."""
 
     __slots__ = ("registry", "terms", "_str", "_canon", "_support", "_lincand", "_content")
 
@@ -147,8 +174,8 @@ class Poly:
 
     @staticmethod
     def constant(registry: VarRegistry, value) -> "Poly":
-        q = Fraction(value)
-        return Poly(registry, {} if q == 0 else {_UNIT_MONO: q})
+        q = value if type(value) is int else _num(Fraction(value))
+        return Poly(registry, {_UNIT_MONO: q} if q else {})
 
     @staticmethod
     def zero(registry: VarRegistry) -> "Poly":
@@ -167,7 +194,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[_UNIT_MONO]
+        return Fraction(self.terms[_UNIT_MONO])
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -241,10 +268,10 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            q = _num(other)
+            if not q:
                 return Poly(self.registry, {})
-            return Poly(self.registry, {m: c * q for m, c in self.terms.items()})
+            return Poly(self.registry, {m: _num(c * q) for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -423,8 +450,10 @@ class Poly:
                 lead = terms[items[0][1]]
                 if lead == 1:
                     self._canon = tuple((mk, terms[m]) for mk, m in items)
+                elif lead == -1:
+                    self._canon = tuple((mk, -terms[m]) for mk, m in items)
                 else:
-                    self._canon = tuple((mk, terms[m] / lead) for mk, m in items)
+                    self._canon = tuple((mk, _quotient(terms[m], lead)) for mk, m in items)
         return self._canon
 
     def linear_candidates(self) -> tuple:
@@ -443,7 +472,7 @@ class Poly:
             )
         return self._lincand
 
-    def _render_term(self, coeff: Fraction, mono: Mono) -> str:
+    def _render_term(self, coeff, mono: Mono) -> str:
         factors = []
         if not mono:
             return str(coeff)
@@ -524,7 +553,7 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
         return vid, exp
 
     def parse_term():
-        coeff = Fraction(1)
+        coeff = 1
         exps: dict[int, int] = {}
         kind, val = peek()
         if kind == "rat":
@@ -546,10 +575,10 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
         mono = tuple(sorted(exps.items()))
         return Poly(registry, {mono: coeff} if coeff else {})
 
-    sign = Fraction(1)
+    sign = 1
     if peek() == ("op", "-"):
         take()
-        sign = Fraction(-1)
+        sign = -1
     elif peek() == ("op", "+"):
         take()
     acc = parse_term() * sign
@@ -595,7 +624,7 @@ def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list
     return results
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
+def _rational_sqrt(q) -> Fraction | None:
     if q < 0:
         return None
     n, d = q.numerator, q.denominator
@@ -630,9 +659,9 @@ def try_factor_split(p: Poly) -> list[Poly] | None:
     # (2) univariate quadratic with rational roots
     if len(p.support) == 1 and p.total_degree() == 2:
         v = p.support[0]
-        a = p.terms.get(((v, 2),), Fraction(0))
-        b = p.terms.get(((v, 1),), Fraction(0))
-        c = p.terms.get(_UNIT_MONO, Fraction(0))
+        a = p.terms.get(((v, 2),), 0)
+        b = p.terms.get(((v, 1),), 0)
+        c = p.terms.get(_UNIT_MONO, 0)
         root = _rational_sqrt(b * b - 4 * a * c)
         if root is None:
             return None

@@ -20,6 +20,11 @@ def full64_result():
 
 
 @pytest.fixture(scope="session")
+def weak_full64_result():
+    return classify("weak", "full64")
+
+
+@pytest.fixture(scope="session")
 def enum_p3():
     return enumerate_structures(EnumerationTask(prime=3, mode="relaxed"))
 

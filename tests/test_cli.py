@@ -105,12 +105,15 @@ def test_verify_malformed_json(tmp_path, capsys):
         {"dim": 4.7, "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": "4", "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": True, "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": "rational", "table": [[["1\n", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 2**89 - 1}, "table": [[["0"] * 4] * 4] * 4},
     ],
     ids=[
         "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
         "dim-mismatch", "fp-no-prime", "fp-string-prime", "fp-list-entry",
         "fp-float-entries", "fp-int-entries", "fp-decimal-string",
-        "float-dim", "string-dim", "bool-dim",
+        "float-dim", "string-dim", "bool-dim", "trailing-newline",
+        "fp-prime-too-large",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
@@ -121,6 +124,16 @@ def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
     code, _, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", op)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verify_large_prime_is_answered(tmp_path, capsys):
+    # a 16-digit prime modulus: the all-zero table is read and fails an axiom
+    op = {"dim": 4, "ring": {"prime": 1000000000000037}, "table": [[["0"] * 4] * 4] * 4}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op), "utf-8")
+    code, _, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", str(path))
+    assert code == 1
+    assert "Traceback" not in err
 
 
 def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys):

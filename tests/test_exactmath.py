@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,9 @@ def test_fraction_serialization():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational(5)
+    for bad in ("1\n", "1/2\n", " 1", "1 "):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 @given(rationals, rationals)
@@ -50,6 +54,36 @@ def test_fraction_roundtrip_mul(a, b):
 
 def test_odd_prime_detection():
     assert [p for p in range(2, 30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _odd_prime_by_trial_division(n: int) -> bool:
+    return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_odd_prime_agrees_with_trial_division():
+    for n in range(-2, 20000):
+        assert is_odd_prime(n) == _odd_prime_by_trial_division(n), n
+
+
+def test_odd_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases, and
+    # the Carmichael number 561
+    for n in (
+        2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+        318665857834031151167461, 561,
+    ):
+        assert not is_odd_prime(n), n
+
+
+def test_odd_prime_large():
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(1000000000000037)
+    assert not is_odd_prime((2**31 - 1) * 1000000000000037)
+    # from the least strong pseudoprime to the first 13 prime bases on, the
+    # fixed bases prove nothing: no answer
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_odd_prime(n)
 
 
 def test_fp_basic():

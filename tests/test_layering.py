@@ -3,12 +3,15 @@
 Each module may import only the modules below it in ``LAYERS``; the package
 facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
 module level only, so the layering is visible where a module starts.
+Outside the package, a module imports only the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posthopf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "posthopf"
 LAYERS = [
     "exactmath", "multipoly", "solver", "hopfcore", "triangleop", "classifier", "ffenum", "cli",
 ]
@@ -32,6 +35,17 @@ def package_imports(tree: ast.Module) -> set[str]:
                 parts = alias.name.split(".")
                 if parts[0] == "posthopf" and len(parts) > 1:
                     out.add(parts[1])
+    return out
+
+
+def top_level_imports(tree: ast.Module) -> set[str]:
+    """First components of the absolute module names a module imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
     return out
 
 
@@ -59,3 +73,16 @@ def test_import_layering():
             assert target in rank, f"{name} imports unknown module {target}"
             if name not in FACADE:
                 assert rank[target] < rank[name], f"{name} imports {target}, which sits above it"
+
+
+def test_standard_library_only():
+    # the library runs on a bare interpreter: every import is its own or the
+    # standard library's, and the package declares no dependency
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        for name in top_level_imports(tree):
+            assert name == "posthopf" or name in sys.stdlib_module_names, (
+                f"{path.stem} imports {name}, which is not in the standard library"
+            )
+    lines = (ROOT / "pyproject.toml").read_text("utf-8").splitlines()
+    assert "dependencies = []" in [line.strip() for line in lines]

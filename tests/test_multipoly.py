@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posthopf.classifier import _cached_system
 from posthopf.exactmath import FpElement
-from posthopf.multipoly import Poly, VarRegistry, parse_poly, try_factor_split
+from posthopf.multipoly import (
+    Poly,
+    VarRegistry,
+    _mono_key,
+    compose_many,
+    parse_poly,
+    try_factor_split,
+)
 
 
 @pytest.fixture()
@@ -217,3 +225,119 @@ def test_evaluate_mod_p_is_ring_hom():
         assert ev(f * g) == ev(f) * ev(g)
         assert ev(f + g) == ev(f) + ev(g)
         assert ev(f - g) == ev(f) - ev(g)
+
+
+# -- coefficient representation: int when integral, Fraction otherwise ----------
+
+
+def stored_form(c) -> bool:
+    """A coefficient as a Poly keeps it: an int, or a non-integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_stored_form(p: Poly) -> None:
+    assert all(stored_form(c) for c in p.terms.values()), p.terms
+
+
+def fraction_twin(p: Poly) -> Poly:
+    """The same polynomial with every coefficient a Fraction."""
+    return Poly(p.registry, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+def reference_key(p: Poly) -> tuple:
+    """``canon_key`` recomputed with Fraction division throughout."""
+    if not p.terms:
+        return ()
+    items = sorted(((_mono_key(m), m) for m in p.terms), reverse=True)
+    lead = Fraction(p.terms[items[0][1]])
+    return tuple((mk, Fraction(p.terms[m]) / lead) for mk, m in items)
+
+
+def assert_same(got: Poly, want: Poly) -> None:
+    assert got == want
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+    assert got.canon_key() == want.canon_key()
+
+
+@given(polys(_REG), polys(_REG), polys(_REG))
+@settings(max_examples=150, deadline=None)
+def test_integral_fractions_act_like_ints(p, q, r):
+    p, q, r = (parse_poly(_REG, str(x)) for x in (p, q, r))
+    pf, qf, rf = map(fraction_twin, (p, q, r))
+    for x, xf in ((p, pf), (q, qf), (r, rf)):
+        assert_stored_form(x)
+        assert_same(xf, x)
+        assert x.canon_key() == reference_key(x)
+    for got, want in (
+        (pf + qf, p + q),
+        (pf - qf, p - q),
+        (pf * qf, p * q),
+        (pf * Fraction(-2), p * -2),
+        (pf * Fraction(1, 2), p * Fraction(1, 2)),
+    ):
+        assert_stored_form(want)
+        assert_same(got, want)
+        assert want.canon_key() == reference_key(want)
+    for v in p.support:
+        for value in (q, Fraction(3), Fraction(-1, 2)):
+            want = p.substitute(v, value)
+            assert_stored_form(want)
+            assert_same(pf.substitute(v, fraction_twin(value) if isinstance(value, Poly)
+                                      else value), want)
+            assert want.canon_key() == reference_key(want)
+    mapping = {v: (q, r)[i % 2] for i, v in enumerate(p.support)}
+    mapping_f = {v: fraction_twin(x) for v, x in mapping.items()}
+    want = p.compose(mapping, _REG)
+    assert_stored_form(want)
+    assert_same(pf.compose(mapping_f, _REG), want)
+    assert_same(compose_many([pf], mapping, _REG)[0], want)
+
+
+def test_canon_key_divides_exactly(reg):
+    cases = {
+        "-x^2 + 3*x - 2": (1, -3, 2),
+        "-x^2 + 1/2*x": (1, Fraction(-1, 2)),
+        "2*x^2 + 4*x + 3": (1, 2, Fraction(3, 2)),
+        "2*x^2 - 3*x - 6": (1, Fraction(-3, 2), -3),
+        "3*x^2 - 6*x + 2": (1, -2, Fraction(2, 3)),
+        "3*x^2 + 1/2": (1, Fraction(1, 6)),
+        "-3*x - 9": (1, 3),
+    }
+    for text, want in cases.items():
+        p = P(reg, text)
+        key = p.canon_key()
+        assert [v for _mk, v in key] == list(want)
+        assert all(stored_form(v) for _mk, v in key), key
+        assert key == reference_key(p)
+        # rational multiples share the key
+        assert (p * Fraction(-5, 7)).canon_key() == key
+
+
+def test_constructors_keep_ints(reg):
+    assert_stored_form(reg.var("x"))
+    for value in (2, Fraction(2), Fraction(4, 2), True, Fraction(1, 3), "6/3", -7):
+        c = Poly.constant(reg, value)
+        assert_stored_form(c)
+        assert type(c.constant_value()) is Fraction
+        assert c.constant_value() == Fraction(value)
+    assert_stored_form(P(reg, "4/2*x - 6/4 + 8/8*y"))
+    assert P(reg, "4/2*x").terms == {((reg.id_of("x"), 1),): 2}
+    assert type(Poly.zero(reg).constant_value()) is Fraction
+
+
+def test_classify_coefficients_are_ints_unless_fractional(
+    relaxed_result, weak_result, full64_result, weak_full64_result
+):
+    results = (relaxed_result, weak_result, full64_result, weak_full64_result)
+    for result in results:
+        _op, _reg, system = _cached_system(result.mode, result.parameterization)
+        for constraint in system.equations:
+            assert_stored_form(constraint.poly)
+        resolved = [b for b in result.branches if b.status == "resolved"]
+        assert resolved
+        for branch in result.branches:
+            for value in branch.assignments.values():
+                assert_stored_form(value)
+            for eq in branch.remaining:
+                assert_stored_form(eq)
