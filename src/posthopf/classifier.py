@@ -174,9 +174,9 @@ def canonical_table_key(op: TriangleOp) -> str:
         for row in table:
             for cell in row:
                 for entry in cell:
-                    for mono in entry._sorted_monos():
+                    for mono, c in entry.terms():
                         if any(v == vid for v, _ in mono):
-                            return entry.terms[mono]
+                            return c
         return None
 
     for name in names:

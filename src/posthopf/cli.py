@@ -75,8 +75,7 @@ def render_element(vec, names) -> str:
     parts: list[tuple[int, str]] = []  # (sign, body)
     for coeff, name in zip(vec, names):
         if isinstance(coeff, Poly):
-            for mono in coeff._sorted_monos():
-                c = coeff.terms[mono]
+            for mono, c in coeff.terms():
                 mono_txt = "".join(
                     coeff.registry.name_of(v) + (f"^{e}" if e > 1 else "")
                     for v, e in mono

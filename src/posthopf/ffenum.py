@@ -118,7 +118,7 @@ def _system_terms(mode: str):
     for constraint in system.equations:
         terms = []
         depth = 0
-        for mono, coeff in constraint.poly.terms.items():
+        for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
             terms.append((int(coeff), mono))

@@ -1,13 +1,25 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A :class:`Poly` stores a map from monomials to nonzero rational
-coefficients; a monomial is a tuple of ``(variable id, exponent)`` pairs
-sorted by id with all exponents positive.  A coefficient is kept as an
-``int`` whenever it is integral and as a :class:`~fractions.Fraction` only
-otherwise, so the integer systems the solver works on never go through
-``Fraction`` arithmetic.  The representation carries no meaning: ``2`` and
-``Fraction(2)`` compare, hash and print alike, so a Poly built directly with
-integral Fractions behaves exactly like its ``int`` twin.
+coefficients.  A coefficient is kept as an ``int`` whenever it is integral
+and as a :class:`~fractions.Fraction` only otherwise, so the integer systems
+the solver works on never go through ``Fraction`` arithmetic.  The
+representation carries no meaning: ``2`` and ``Fraction(2)`` compare, hash
+and print alike, so a Poly built directly with integral Fractions behaves
+exactly like its ``int`` twin.
+
+A monomial is packed into one ``int`` of 16-bit fields (a packed exponent
+vector, after Monagan and Pearce, CASC 2007): field 0 holds the total degree
+and field ``v + 1`` the exponent of the variable with id ``v``.  A product of
+monomials is then one integer addition, and substitution reads an exponent
+with a shift and a mask.  The total degree of a monomial is at most
+``MAX_DEGREE`` (32767), which keeps the top bit of every field clear: adding
+two monomials never carries from one field into the next, and one test of
+the degree field's top bit catches a product past the limit.  ``parse_poly``,
+``*``, ``**`` and ``substitute`` raise ``ValueError`` there.  The packed form
+is private to this module: other modules read terms through
+:meth:`Poly.terms`, which yields ``((variable id, exponent), ...)`` tuples,
+and ``Poly(registry, terms)`` takes such tuples.
 
 Printing orders terms by graded lexicographic order on variable ids
 (highest term first) and is byte-stable: two polynomials over the same
@@ -33,15 +45,78 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress, count
+from operator import or_
 
 from .exactmath import FpElement, parse_rational, rational_mod_p
 
-__all__ = ["VarRegistry", "Poly", "parse_poly", "compose_many", "try_factor_split"]
+__all__ = [
+    "VarRegistry", "Poly", "parse_poly", "compose_many", "try_factor_split", "MAX_DEGREE",
+]
 
-Mono = tuple  # tuple[tuple[int, int], ...]
+# -- packed monomials ------------------------------------------------------------
+# Field width 16 makes every field one UTF-16 code unit (below the surrogate
+# range, since no field reaches 1 << 15), which is what _mono_key decodes.
 
-_UNIT_MONO: Mono = ()
+_FIELD_BITS = 16
+_FIELD = (1 << _FIELD_BITS) - 1
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+_OVER = 1 << (_FIELD_BITS - 1)  # degree-field bit set by a product past MAX_DEGREE
+_UNIT = 0  # the monomial 1
+
+
+def _degree_error() -> ValueError:
+    return ValueError(f"total degree exceeds {MAX_DEGREE}")
+
+
+def _power(vid: int, e: int) -> int:
+    """The packed monomial ``x_vid ^ e``."""
+    return (e << _FIELD_BITS * (vid + 1)) | e
+
+
+def _pack(mono) -> int:
+    """The packed form of ``((variable id, exponent), ...)`` pairs."""
+    m = deg = 0
+    for v, e in mono:
+        if e < 1:
+            raise ValueError(f"exponent must be positive, got {e}")
+        m += e << _FIELD_BITS * (v + 1)
+        deg += e
+    if deg > MAX_DEGREE:
+        raise _degree_error()
+    return m + deg
+
+
+# the four classify jobs, run in one process, key about 19k distinct
+# monomials (and _mono_items decodes about 10k), so the bound holds them all;
+# the memo lets every canon_key share one key string per monomial
+@lru_cache(maxsize=1 << 15)
+def _mono_key(mono: int) -> str:
+    """``chr(deg) + chr(e_0) + ... + chr(e_top)``, ``top`` the highest
+    variable id occurring: it compares exactly as the tuple
+    ``(deg, (e_0, ..., e_top))`` does, graded and then lexicographic."""
+    size = (mono.bit_length() + _FIELD_BITS - 1) // _FIELD_BITS or 1
+    return mono.to_bytes(2 * size, "little").decode("utf-16-le")
+
+
+def _vars_of(mono: int) -> tuple[int, ...]:
+    """Ids of the variables whose fields are nonzero, ascending; ``mono``
+    may be an OR of packed monomials."""
+    mono >>= _FIELD_BITS
+    if not mono:
+        return ()
+    size = (mono.bit_length() + _FIELD_BITS - 1) // _FIELD_BITS
+    # fields in order; "H" reads them in native byte order, which changes
+    # their values but not which of them are nonzero
+    fields = memoryview(mono.to_bytes(2 * size, "little")).cast("H")
+    return tuple(compress(count(), fields))
+
+
+@lru_cache(maxsize=1 << 15)
+def _mono_items(mono: int) -> tuple:
+    """``((variable id, exponent), ...)`` by ascending id."""
+    return tuple((v, (mono >> _FIELD_BITS * (v + 1)) & _FIELD) for v in _vars_of(mono))
 
 
 class VarRegistry:
@@ -85,28 +160,13 @@ class VarRegistry:
         vid = self._ids.get(name)
         if vid is None:
             vid = self.add(name)
-        return Poly(self, {((vid, 1),): 1})
+        return _poly(self, {_power(vid, 1): 1})
 
     def var_by_id(self, vid: int) -> "Poly":
-        return Poly(self, {((vid, 1),): 1})
+        return _poly(self, {_power(vid, 1): 1})
 
     def constant(self, value) -> "Poly":
         return Poly.constant(self, value)
-
-
-# one classify run keys about 20k distinct monomials; the memo saves the
-# rebuild and lets every canon_key share one key tuple per monomial
-@lru_cache(maxsize=1 << 15)
-def _mono_key(mono: Mono):
-    if not mono:
-        return (0, ())
-    deg = 0
-    top = mono[-1][0]
-    dense = [0] * (top + 1)
-    for v, e in mono:
-        dense[v] = e
-        deg += e
-    return (deg, tuple(dense))
 
 
 def _num(q):
@@ -117,7 +177,7 @@ def _num(q):
     return q.numerator
 
 
-def _accumulate(terms: dict, mono: Mono, c) -> None:
+def _accumulate(terms: dict, mono: int, c) -> None:
     """``terms[mono] += c`` for a nonzero ``c``, dropping a sum that cancels
     and storing an integral result as ``int``.  A new entry stores ``c``
     itself, not ``0 + c``; a sum of two ints stays in ``int`` arithmetic."""
@@ -141,90 +201,70 @@ def _quotient(c, lead):
     return _num(c / lead)
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[int, int] = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 class Poly:
     """Immutable sparse multivariate polynomial over the rationals.
 
-    ``terms`` maps monomials to nonzero coefficients, each an ``int`` when
-    integral and a ``Fraction`` otherwise.  The constructor takes ``terms``
-    as given; every operation below returns coefficients in that form."""
+    ``Poly(registry, terms)`` takes ``terms`` mapping ``((variable id,
+    exponent), ...)`` tuples to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` otherwise, as given; every operation below
+    returns coefficients in that form."""
 
-    __slots__ = ("registry", "terms", "_str", "_canon", "_support", "_lincand", "_content")
+    __slots__ = ("registry", "_terms", "_str", "_canon", "_support", "_lincand", "_content")
 
     def __init__(self, registry: VarRegistry, terms: dict):
         self.registry = registry
-        self.terms = terms
-        self._str = None
-        self._canon = None
-        self._support = None
-        self._lincand = None
-        self._content = None
+        self._terms = {_pack(mono): c for mono, c in terms.items()}
+        self._str = self._canon = self._support = self._lincand = self._content = None
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def constant(registry: VarRegistry, value) -> "Poly":
         q = value if type(value) is int else _num(Fraction(value))
-        return Poly(registry, {_UNIT_MONO: q} if q else {})
+        return _poly(registry, {_UNIT: q} if q else {})
 
     @staticmethod
     def zero(registry: VarRegistry) -> "Poly":
-        return Poly(registry, {})
+        return _poly(registry, {})
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _UNIT_MONO in self.terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and _UNIT in terms)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms[_UNIT_MONO])
+        return Fraction(self._terms[_UNIT])
 
     @property
     def support(self) -> tuple[int, ...]:
         """Sorted ids of the variables that actually occur."""
         if self._support is None:
-            seen: set[int] = set()
-            for mono in self.terms:
-                for v, _ in mono:
-                    seen.add(v)
-            self._support = tuple(sorted(seen))
+            self._support = _vars_of(reduce(or_, self._terms, 0))
         return self._support
 
     def degree_in(self, vid: int) -> int:
-        best = 0
-        for mono in self.terms:
-            for v, e in mono:
-                if v == vid and e > best:
-                    best = e
-        return best
+        shift = _FIELD_BITS * (vid + 1)
+        return max(((m >> shift) & _FIELD for m in self._terms), default=0)
 
     def total_degree(self) -> int:
-        best = 0
-        for mono in self.terms:
-            d = sum(e for _, e in mono)
-            if d > best:
-                best = d
-        return best
+        return max((m & _FIELD for m in self._terms), default=0)
+
+    def terms(self) -> tuple:
+        """The terms as ``(((variable id, exponent), ...), coefficient)``
+        pairs in print order, highest term first."""
+        terms = self._terms
+        return tuple((_mono_items(m), terms[m]) for m in self._sorted_monos())
 
     def _sorted_monos(self):
-        return sorted(self.terms, key=_mono_key, reverse=True)
+        return sorted(self._terms, key=_mono_key, reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -244,15 +284,15 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in o.terms.items():
+        terms = dict(self._terms)
+        for mono, c in o._terms.items():
             _accumulate(terms, mono, c)
-        return Poly(self.registry, terms)
+        return _poly(self.registry, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.registry, {m: -c for m, c in self.terms.items()})
+        return _poly(self.registry, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -267,19 +307,28 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # Poly first: a Poly fails isinstance(Fraction) only through the
+        # slow ABC check
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             q = _num(other)
             if not q:
-                return Poly(self.registry, {})
-            return Poly(self.registry, {m: _num(c * q) for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+                return _poly(self.registry, {})
+            return _poly(self.registry, {m: _num(c * q) for m, c in self._terms.items()})
         self._check(other)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
-        return Poly(self.registry, out)
+        left, right = self._terms, other._terms
+        if not (left and right):  # a zero factor, as in most products of compose_many
+            return _poly(self.registry, out)
+        right = right.items()
+        for m1, c1 in left.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                if m & _OVER:
+                    raise _degree_error()
+                _accumulate(out, m, c1 * c2)
+        return _poly(self.registry, out)
 
     __rmul__ = __mul__
 
@@ -304,31 +353,21 @@ class Poly:
             return self
         val = value if isinstance(value, Poly) else Poly.constant(self.registry, value)
         self._check(val)
-        powers: dict[int, Poly] = {1: val}
-
-        def val_pow(e: int) -> Poly:
-            got = powers.get(e)
-            if got is None:
-                got = val_pow(e - 1) * val
-                powers[e] = got
-            return got
-
+        powers = [None, val]
+        shift = _FIELD_BITS * (vid + 1)
         out: dict = {}
-        for mono, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ex in mono:
-                if v == vid:
-                    e = ex
-                else:
-                    rest.append((v, ex))
-            if e == 0:
+        for mono, c in self._terms.items():
+            e = (mono >> shift) & _FIELD
+            if not e:
                 _accumulate(out, mono, c)
                 continue
-            rest_mono = tuple(rest)
-            for m2, c2 in val_pow(e).terms.items():
-                _accumulate(out, _mono_mul(rest_mono, m2), c * c2)
-        return Poly(self.registry, out)
+            rest = mono - (e << shift) - e
+            for m2, c2 in _nth_power(powers, e)._terms.items():
+                m = rest + m2
+                if m & _OVER:
+                    raise _degree_error()
+                _accumulate(out, m, c * c2)
+        return _poly(self.registry, out)
 
     def compose(self, mapping: dict[int, "Poly"], registry: VarRegistry) -> "Poly":
         """Substitute every variable simultaneously; values live in
@@ -337,9 +376,9 @@ class Poly:
 
     def evaluate(self, assignment: dict[int, Fraction]) -> Fraction:
         total = Fraction(0)
-        for mono, c in self.terms.items():
+        for mono, c in self._terms.items():
             val = c
-            for v, e in mono:
+            for v, e in _mono_items(mono):
                 if v not in assignment:
                     raise ValueError(
                         f"no value for {self.registry.name_of(v)!r}"
@@ -362,9 +401,9 @@ class Poly:
                 raise ValueError("empty assignment for non-constant polynomial")
             raise ValueError("cannot infer modulus from an empty assignment")
         total = 0
-        for mono, c in self.terms.items():
+        for mono, c in self._terms.items():
             val = rational_mod_p(c, p).value
-            for v, e in mono:
+            for v, e in _mono_items(mono):
                 if v not in assignment:
                     raise ValueError(
                         f"no value for {self.registry.name_of(v)!r}"
@@ -376,59 +415,50 @@ class Poly:
     def content_vars(self) -> tuple[int, ...]:
         """Variables dividing every term; cached."""
         if self._content is None:
-            if not self.terms:
-                self._content = ()
-            else:
-                it = iter(self.terms)
-                common = {v for v, _ in next(it)}
-                for mono in it:
-                    common &= {v for v, _ in mono}
-                    if not common:
-                        break
-                self._content = tuple(sorted(common))
+            monos = iter(self._terms)
+            common = _vars_of(next(monos, _UNIT))
+            for mono in monos:
+                if not common:
+                    break
+                common = tuple(
+                    v for v in common if (mono >> _FIELD_BITS * (v + 1)) & _FIELD
+                )
+            self._content = common
         return self._content
 
     def divide_once_by(self, vid: int) -> "Poly":
         """Exact quotient by one power of a variable dividing every term."""
+        shift = _FIELD_BITS * (vid + 1)
+        step = _power(vid, 1)
         out: dict = {}
-        for mono, c in self.terms.items():
-            reduced = []
-            hit = False
-            for v, e in mono:
-                if v == vid:
-                    hit = True
-                    if e > 1:
-                        reduced.append((v, e - 1))
-                else:
-                    reduced.append((v, e))
-            if not hit:
+        for mono, c in self._terms.items():
+            if not (mono >> shift) & _FIELD:
                 raise ValueError(f"{self.registry.name_of(vid)!r} does not divide every term")
-            out[tuple(reduced)] = c
-        return Poly(self.registry, out)
+            out[mono - step] = c
+        return _poly(self.registry, out)
 
     # -- comparison and printing --------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.registry is other.registry and self.terms == other.terms
+            return self.registry is other.registry and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.registry), frozenset(self.terms.items())))
+        return hash((id(self.registry), frozenset(self._terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def to_string(self) -> str:
         if self._str is None:
-            if not self.terms:
+            if not self._terms:
                 self._str = "0"
             else:
                 parts: list[str] = []
-                for mono in self._sorted_monos():
-                    c = self.terms[mono]
+                for mono, c in self.terms():
                     body = self._render_term(abs(c), mono)
                     if not parts:
                         parts.append(body if c > 0 else "-" + body)
@@ -442,37 +472,42 @@ class Poly:
         normalization: equal keys mean equality up to a nonzero rational
         factor.  Used to deduplicate and order constraint equations."""
         if self._canon is None:
-            if not self.terms:
+            terms = self._terms
+            if not terms:
                 self._canon = ()
             else:
-                terms = self.terms
-                items = sorted(((_mono_key(m), m) for m in terms), reverse=True)
-                lead = terms[items[0][1]]
+                # monomial keys are distinct, so coefficients never compare
+                items = sorted(zip(map(_mono_key, terms), terms.values()), reverse=True)
+                lead = items[0][1]
                 if lead == 1:
-                    self._canon = tuple((mk, terms[m]) for mk, m in items)
+                    self._canon = tuple(items)
                 elif lead == -1:
-                    self._canon = tuple((mk, -terms[m]) for mk, m in items)
+                    self._canon = tuple((mk, -c) for mk, c in items)
                 else:
-                    self._canon = tuple((mk, _quotient(terms[m], lead)) for mk, m in items)
+                    self._canon = tuple((mk, _quotient(c, lead)) for mk, c in items)
         return self._canon
 
     def linear_candidates(self) -> tuple:
         """Variables occurring only as a bare degree-1 term, with their
         coefficients: exactly the eliminations ``v := -rest/coeff``.  Cached."""
         if self._lincand is None:
-            occ: dict[int, int] = {}
-            solo: dict[int, Fraction] = {}
-            for mono, c in self.terms.items():
-                if len(mono) == 1 and mono[0][1] == 1:
-                    solo[mono[0][0]] = c
-                for v, _e in mono:
-                    occ[v] = occ.get(v, 0) + 1
-            self._lincand = tuple(
-                (v, solo[v]) for v in sorted(solo) if occ[v] == 1
-            )
+            terms = self._terms
+            linear = []
+            others = 0
+            for mono in terms:
+                if mono & _FIELD == 1:
+                    linear.append(mono)
+                else:
+                    others |= mono
+            cands = []
+            for mono in sorted(linear):
+                shift = mono.bit_length() - 1  # x_v's field, exponent 1
+                if not (others >> shift) & _FIELD:
+                    cands.append((shift // _FIELD_BITS - 1, terms[mono]))
+            self._lincand = tuple(cands)
         return self._lincand
 
-    def _render_term(self, coeff, mono: Mono) -> str:
+    def _render_term(self, coeff, mono) -> str:
         factors = []
         if not mono:
             return str(coeff)
@@ -487,6 +522,27 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_string()})"
+
+
+def _nth_power(powers: list, e: int) -> Poly:
+    """``powers[e]`` of ``powers = [None, x, x^2, ...]``, extended by one
+    product per missing power (a loop, so a high power cannot exhaust the
+    recursion limit)."""
+    while len(powers) <= e:
+        powers.append(powers[-1] * powers[1])
+    return powers[e]
+
+
+_new = object.__new__
+
+
+def _poly(registry: VarRegistry, terms: dict) -> Poly:
+    """A Poly over packed monomials ``terms``, taken as given."""
+    p = _new(Poly)
+    p.registry = registry
+    p._terms = terms
+    p._str = p._canon = p._support = p._lincand = p._content = None
+    return p
 
 
 _TOKEN_RE = re.compile(
@@ -572,8 +628,7 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
                 exps[vid] = exps.get(vid, 0) + e
         else:
             raise ValueError(f"expected a term, got {val!r}")
-        mono = tuple(sorted(exps.items()))
-        return Poly(registry, {mono: coeff} if coeff else {})
+        return _poly(registry, {_pack(exps.items()): coeff} if coeff else {})
 
     sign = 1
     if peek() == ("op", "-"):
@@ -595,32 +650,27 @@ def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list
     """Simultaneous substitution into many polynomials with one shared
     monomial cache; the workhorse behind branch verification, where hundreds
     of equations reuse the same monomials."""
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def var_pow(v: int, e: int) -> Poly:
-        got = pow_cache.get((v, e))
-        if got is None:
-            if v not in mapping:
-                raise ValueError(f"no substitution for variable id {v}")
-            got = mapping[v] if e == 1 else var_pow(v, e - 1) * mapping[v]
-            pow_cache[(v, e)] = got
-        return got
-
-    one = Poly.constant(registry, 1)
-    mono_cache: dict[Mono, Poly] = {_UNIT_MONO: one}
+    pow_cache: dict[int, list] = {}  # variable id -> [None, x, x^2, ...]
+    mono_cache: dict[int, tuple] = {_UNIT: ((_UNIT, 1),)}  # monomial -> its image's terms
     results = []
     for p in polys:
         out: dict = {}
-        for mono, c in p.terms.items():
-            piece = mono_cache.get(mono)
-            if piece is None:
-                piece = var_pow(*mono[0])
-                for v, e in mono[1:]:
-                    piece = piece * var_pow(v, e)
-                mono_cache[mono] = piece
-            for m2, c2 in piece.terms.items():
+        for mono, c in p._terms.items():
+            image = mono_cache.get(mono)
+            if image is None:
+                piece = None
+                for v, e in _mono_items(mono):
+                    powers = pow_cache.get(v)
+                    if powers is None:
+                        if v not in mapping:
+                            raise ValueError(f"no substitution for variable id {v}")
+                        powers = pow_cache[v] = [None, mapping[v]]
+                    factor = powers[e] if e < len(powers) else _nth_power(powers, e)
+                    piece = factor if piece is None else piece * factor
+                image = mono_cache[mono] = tuple(piece._terms.items())
+            for m2, c2 in image:
                 _accumulate(out, m2, c * c2)
-        results.append(Poly(registry, out))
+        results.append(_poly(registry, out))
     return results
 
 
@@ -659,9 +709,9 @@ def try_factor_split(p: Poly) -> list[Poly] | None:
     # (2) univariate quadratic with rational roots
     if len(p.support) == 1 and p.total_degree() == 2:
         v = p.support[0]
-        a = p.terms.get(((v, 2),), 0)
-        b = p.terms.get(((v, 1),), 0)
-        c = p.terms.get(_UNIT_MONO, 0)
+        a = p._terms.get(_power(v, 2), 0)
+        b = p._terms.get(_power(v, 1), 0)
+        c = p._terms.get(_UNIT, 0)
         root = _rational_sqrt(b * b - 4 * a * c)
         if root is None:
             return None

@@ -144,11 +144,10 @@ def _refile(eqs: list[Poly], changed: dict[int, Poly]) -> list[Poly]:
 
 def _bare_var(poly: Poly) -> int | None:
     """Variable id when the polynomial is a nonzero multiple of one variable."""
-    if len(poly.terms) != 1:
-        return None
-    (mono,) = poly.terms
-    if len(mono) == 1 and mono[0][1] == 1:
-        return mono[0][0]
+    # every term has x_v as a factor and degree 1, so the only term is a*x_v
+    content = poly.content_vars()
+    if len(content) == 1 and poly.total_degree() == 1:
+        return content[0]
     return None
 
 
@@ -259,11 +258,8 @@ def solve(
                         best = (key, v, a, eq)
             if best is not None:
                 _, v, a, eq = best
-                rest = Poly(
-                    registry,
-                    {m: c for m, c in eq.terms.items() if m != ((v, 1),)},
-                )
-                expr = rest * (Fraction(-1) / a)
+                # eq = a*x_v + rest, so x_v := -rest/a = x_v - eq/a
+                expr = registry.var_by_id(v) - eq * (Fraction(1) / a)
                 assign = {w: val.substitute(v, expr) for w, val in assign.items()}
                 assign[v] = expr
                 eqs = _refile(eqs, {

@@ -378,7 +378,7 @@ def table_params(op: TriangleOp) -> dict[int, str]:
             for entry in cell:
                 if not isinstance(entry, Poly):
                     continue
-                for mono in entry._sorted_monos():
+                for mono, _c in entry.terms():
                     for v, _ in mono:
                         if v not in params:
                             params[v] = entry.registry.name_of(v)

@@ -3,7 +3,8 @@
 Each module may import only the modules below it in ``LAYERS``; the package
 facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
 module level only, so the layering is visible where a module starts.
-Outside the package, a module imports only the standard library.
+Outside the package, a module imports only the standard library.  The packed
+monomial format is ``multipoly``'s own: no other module touches it.
 """
 
 import ast
@@ -86,3 +87,39 @@ def test_standard_library_only():
             )
     lines = (ROOT / "pyproject.toml").read_text("utf-8").splitlines()
     assert "dependencies = []" in [line.strip() for line in lines]
+
+
+# Poly's packed form: the monomial key, the terms store and its sort
+PACKED_FORM = {"_mono_key", "_terms", "_sorted_monos"}
+
+
+def packed_form_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """Lines and names where a module names part of the packed form."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in PACKED_FORM:
+            uses.append((node.lineno, name))
+    return uses
+
+
+def test_packed_monomials_stay_in_multipoly():
+    # other modules read terms through Poly.terms(), so the monomial format
+    # can change inside multipoly alone
+    paths = [
+        path
+        for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+        for path in sorted(folder.glob("*.py"))
+        if path != PACKAGE / "multipoly.py"
+    ]
+    assert len(paths) > len(LAYERS)
+    for path in paths:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        assert packed_form_uses(tree) == [], path.name

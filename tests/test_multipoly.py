@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from posthopf.classifier import _cached_system
 from posthopf.exactmath import FpElement
 from posthopf.multipoly import (
+    MAX_DEGREE,
     Poly,
     VarRegistry,
-    _mono_key,
     compose_many,
     parse_poly,
     try_factor_split,
@@ -236,21 +236,39 @@ def stored_form(c) -> bool:
 
 
 def assert_stored_form(p: Poly) -> None:
-    assert all(stored_form(c) for c in p.terms.values()), p.terms
+    assert all(stored_form(c) for _m, c in p.terms()), p.terms()
 
 
 def fraction_twin(p: Poly) -> Poly:
     """The same polynomial with every coefficient a Fraction."""
-    return Poly(p.registry, {m: Fraction(c) for m, c in p.terms.items()})
+    return Poly(p.registry, {m: Fraction(c) for m, c in p.terms()})
+
+
+def tuple_key(mono) -> tuple:
+    """Graded lexicographic key ``(deg, (e_0, ..., e_top))`` of a
+    ``((vid, exp), ...)`` monomial, ``top`` its highest variable id."""
+    dense = [0] * (mono[-1][0] + 1 if mono else 0)
+    for v, e in mono:
+        dense[v] = e
+    return (sum(dense), tuple(dense))
 
 
 def reference_key(p: Poly) -> tuple:
-    """``canon_key`` recomputed with Fraction division throughout."""
-    if not p.terms:
+    """``canon_key`` recomputed with Fraction division throughout and
+    ``tuple_key`` monomial keys, from the terms in print order."""
+    terms = p.terms()
+    if not terms:
         return ()
-    items = sorted(((_mono_key(m), m) for m in p.terms), reverse=True)
-    lead = Fraction(p.terms[items[0][1]])
-    return tuple((mk, Fraction(p.terms[m]) / lead) for mk, m in items)
+    lead = Fraction(terms[0][1])
+    return tuple((tuple_key(m), Fraction(c) / lead) for m, c in terms)
+
+
+def assert_reference_key(p: Poly) -> None:
+    """``canon_key`` has the reference coefficients, in descending
+    graded lexicographic order of the monomials."""
+    key, ref = p.canon_key(), reference_key(p)
+    assert [c for _mk, c in key] == [c for _tk, c in ref]
+    assert [tk for tk, _c in ref] == sorted((tk for tk, _c in ref), reverse=True)
 
 
 def assert_same(got: Poly, want: Poly) -> None:
@@ -268,7 +286,7 @@ def test_integral_fractions_act_like_ints(p, q, r):
     for x, xf in ((p, pf), (q, qf), (r, rf)):
         assert_stored_form(x)
         assert_same(xf, x)
-        assert x.canon_key() == reference_key(x)
+        assert_reference_key(x)
     for got, want in (
         (pf + qf, p + q),
         (pf - qf, p - q),
@@ -278,14 +296,14 @@ def test_integral_fractions_act_like_ints(p, q, r):
     ):
         assert_stored_form(want)
         assert_same(got, want)
-        assert want.canon_key() == reference_key(want)
+        assert_reference_key(want)
     for v in p.support:
         for value in (q, Fraction(3), Fraction(-1, 2)):
             want = p.substitute(v, value)
             assert_stored_form(want)
             assert_same(pf.substitute(v, fraction_twin(value) if isinstance(value, Poly)
                                       else value), want)
-            assert want.canon_key() == reference_key(want)
+            assert_reference_key(want)
     mapping = {v: (q, r)[i % 2] for i, v in enumerate(p.support)}
     mapping_f = {v: fraction_twin(x) for v, x in mapping.items()}
     want = p.compose(mapping, _REG)
@@ -309,7 +327,7 @@ def test_canon_key_divides_exactly(reg):
         key = p.canon_key()
         assert [v for _mk, v in key] == list(want)
         assert all(stored_form(v) for _mk, v in key), key
-        assert key == reference_key(p)
+        assert_reference_key(p)
         # rational multiples share the key
         assert (p * Fraction(-5, 7)).canon_key() == key
 
@@ -322,7 +340,7 @@ def test_constructors_keep_ints(reg):
         assert type(c.constant_value()) is Fraction
         assert c.constant_value() == Fraction(value)
     assert_stored_form(P(reg, "4/2*x - 6/4 + 8/8*y"))
-    assert P(reg, "4/2*x").terms == {((reg.id_of("x"), 1),): 2}
+    assert P(reg, "4/2*x").terms() == ((((reg.id_of("x"), 1),), 2),)
     assert type(Poly.zero(reg).constant_value()) is Fraction
 
 
@@ -341,3 +359,58 @@ def test_classify_coefficients_are_ints_unless_fractional(
                 assert_stored_form(value)
             for eq in branch.remaining:
                 assert_stored_form(eq)
+
+
+# -- packed monomials: key order and the degree limit ---------------------------------
+
+
+@given(st.lists(polys(_REG), min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_canon_keys_order_like_tuple_keys(ps):
+    # the store sorts by canon_key, so its order must be that of the
+    # (deg, dense-tuple) monomial keys
+    for p in ps:
+        for q in ps:
+            got, want = p.canon_key(), q.canon_key()
+            ref_p, ref_q = reference_key(p), reference_key(q)
+            assert (got < want) == (ref_p < ref_q)
+            assert (got == want) == (ref_p == ref_q)
+
+
+def test_terms_are_in_print_order(reg):
+    x, y = reg.id_of("x"), reg.id_of("y")
+    p = P(reg, "3 - x*y^2 + 2*x^2 + y")
+    assert str(p) == "-x*y^2 + 2*x^2 + y + 3"
+    assert p.terms() == (
+        (((x, 1), (y, 2)), -1), (((x, 2),), 2), (((y, 1),), 1), ((), 3),
+    )
+    assert Poly(reg, dict(p.terms())) == p
+    assert Poly.zero(reg).terms() == ()
+
+
+def test_degree_limit(reg):
+    x, y = reg.var("x"), reg.var("y")
+    xid = reg.id_of("x")
+    top = x ** MAX_DEGREE
+    assert top.total_degree() == top.degree_in(xid) == MAX_DEGREE
+    assert parse_poly(reg, f"x^{MAX_DEGREE}") == top
+    # fields stay apart right up to the limit
+    half = x ** (MAX_DEGREE // 2) * y ** (MAX_DEGREE - MAX_DEGREE // 2)
+    assert half.degree_in(xid) == MAX_DEGREE // 2
+    assert half.total_degree() == MAX_DEGREE
+    assert (x ** 100).substitute(xid, y * y) == y ** 200
+    past = (
+        lambda: top * x,
+        lambda: x * top,
+        lambda: x ** (MAX_DEGREE + 1),
+        lambda: (x * y) ** 20000,
+        lambda: top.substitute(xid, x * y),
+        lambda: (x ** 20000).substitute(xid, y * y),
+        lambda: parse_poly(reg, "x^40000"),
+        lambda: parse_poly(reg, "x^20000*y^20000"),
+        lambda: parse_poly(reg, "x^20000*x^20000"),
+        lambda: Poly(reg, {((xid, MAX_DEGREE + 1),): 1}),
+    )
+    for make in past:
+        with pytest.raises(ValueError, match="degree"):
+            make()

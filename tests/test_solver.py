@@ -1,5 +1,5 @@
-"""The branch solver's equation store, and the solver's completeness on small
-systems other than the Sweedler one."""
+"""The branch solver's equation store, and the solver's completeness,
+soundness and disjointness on small systems other than the Sweedler one."""
 
 from fractions import Fraction
 from itertools import product
@@ -157,8 +157,9 @@ def reproduces(branch, point) -> bool:
     coordinates, and its side conditions hold there."""
     params = {}
     for v, poly in branch.assignments.items():
-        if poly.terms and len(poly.terms) == 1:
-            ((mono, coeff),) = poly.terms.items()
+        terms = poly.terms()
+        if len(terms) == 1:
+            ((mono, coeff),) = terms
             if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
                 params.setdefault(mono[0][0], point[v])
     if any(poly.evaluate(params) != point[v] for v, poly in branch.assignments.items()):
@@ -180,3 +181,19 @@ def test_every_integer_solution_has_a_resolved_branch(system):
         values = dict(enumerate(point))
         if all(c.poly.evaluate(values) == 0 for c in system.equations):
             assert any(reproduces(b, point) for b in resolved), point
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_systems())
+def test_resolved_branches_are_sound_and_disjoint(system):
+    # each integer point of the box comes from at most one resolved branch
+    # with its side conditions holding, and only if it solves the system
+    branches, _stats = solve(system)
+    resolved = [b for b in branches if b.status == "resolved"]
+    n = len(system.registry)
+    for point in product(BOX, repeat=n):
+        hits = sum(reproduces(b, point) for b in resolved)
+        assert hits <= 1, point
+        if hits:
+            values = dict(enumerate(point))
+            assert all(c.poly.evaluate(values) == 0 for c in system.equations), point
