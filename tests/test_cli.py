@@ -2,6 +2,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,20 @@ def test_verify_family_with_parameter(capsys):
     assert code == 0
 
 
+def edited_family(which, param, prime, cell, entry) -> dict:
+    """The ``--op`` payload of a family table with the entry at ``cell``
+    replaced; with a prime, the table's integer entries are read mod p."""
+    payload = op_to_json_dict(family_table(which, param))
+    if prime is not None:
+        payload["ring"] = {"prime": prime}
+        payload["table"] = [
+            [[str(int(e) % prime) for e in c] for c in row] for row in payload["table"]
+        ]
+    i, j, k = cell
+    payload["table"][i][j][k] = entry
+    return payload
+
+
 @pytest.mark.parametrize("mode", ["relaxed", "weak"])
 @pytest.mark.parametrize(
     "ref, stem", [
@@ -67,16 +82,32 @@ def test_verify_family_with_parameter(capsys):
         ("family:ii:a=3/2", "ii-a3_2"),
         ("family:iv", "iv"),
         ("family:vi", "vi"),
+        # one changed entry per coefficient ring: nonzero residuals of
+        # coalgebra_hom, distributivity and weighted_assoc, and, for the two
+        # edits of 1 |> v, of unitality
+        *(
+            pytest.param(edited_family(*edit), stem, id=stem)
+            for edit, stem in [
+                (("ii", Fraction(3, 2), None, (2, 1, 3), "1"), "ii-a3_2-edited"),
+                (("i", 2, 5, (0, 2, 3), "3"), "i-a2-p5-edited"),
+                (("ii", None, None, (0, 2, 3), "a"), "ii-poly-edited"),
+            ]
+        ),
     ],
 )
 def test_verify_cli_golden(tmp_path, capsys, ref, stem, mode):
+    if isinstance(ref, dict):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(ref), "utf-8")
+        ref = str(path)
     json_path = tmp_path / "verify.json"
     code, out, _ = run(
         capsys, "verify", "--hopf", "builtin:h4", "--op", ref, "--mode", mode,
         "--json", str(json_path),
     )
     # families iv and vi are relaxed but not unital
-    assert code == (1 if mode == "weak" and stem in ("iv", "vi") else 0)
+    fails = stem.endswith("-edited") or (mode == "weak" and stem in ("iv", "vi"))
+    assert code == (1 if fails else 0)
     assert out == golden(f"verify-{stem}-{mode}.txt")
     assert json_path.read_text("utf-8") == golden(f"verify-{stem}-{mode}.json")
 
