@@ -7,6 +7,14 @@ ring that combines with Fractions (Fraction itself, prime-field elements,
 polynomials), so the same bilinear machinery serves numeric, finite-field
 and symbolic computations.
 
+That machinery is three private kernels, which ``triangleop`` shares:
+``_bilinear`` contracts a structure tensor with two coefficient vectors
+(``sum a_i b_j T[i][j]``), ``_linear`` is its linear case
+(``sum x_l rows[l]``), and ``_sweedler`` sums vectors ``f(a, b)`` over the
+coproduct of a basis element (``sum comul[i][a][b] f(a, b)``).  Each takes
+the zero of the ring its result lives in, so an empty sum stays in that
+ring.
+
 Conventions: ``mul[i][j][k]`` is the ``e_k`` coefficient of ``e_i e_j``;
 ``comul[i][j][k]`` the ``e_j (x) e_k`` coefficient of the coproduct of
 ``e_i``; tensor-square elements are flattened row-major, ``(j, k) -> j*n+k``;
@@ -128,45 +136,84 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
+def _bilinear(T, a, b, zero) -> list:
+    """``sum_ij a_i b_j T[i][j]``: the bilinear map V x V -> V with structure
+    tensor T on coefficient vectors a and b, in the ring of ``zero``.  T is
+    read only at the nonzero coordinates of a and b."""
+    out = [zero] * len(a)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        plane = T[i]
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            coef = ai * bj
+            for k, t in enumerate(plane[j]):
+                if t:
+                    out[k] = out[k] + coef * t
+    return out
+
+
+def _linear(x, rows, zero) -> list:
+    """``sum_l x_l rows[l]``: the linear case, in the ring of ``zero``."""
+    out = [zero] * len(rows[0])
+    for xl, row in zip(x, rows):
+        if not xl:
+            continue
+        for k, r in enumerate(row):
+            if r:
+                out[k] = out[k] + xl * r
+    return out
+
+
+def _sweedler(H: HopfStructure, i: int, f, zero) -> list:
+    """``sum_ab comul[i][a][b] f(a, b)``: the length-dim vectors ``f(a, b)``
+    summed over the coproduct of ``e_i``, in the ring of ``zero``."""
+    out = [zero] * H.dim
+    for a, row in enumerate(H.comul[i]):
+        for b, c in enumerate(row):
+            if c:
+                for k, v in enumerate(f(a, b)):
+                    if v:
+                        out[k] = out[k] + c * v
+    return out
+
+
+def _square_product(T, s, t, zero) -> list:
+    """``sum s_(ij) t_(pq) T[i][p] (x) T[j][q]``: the bilinear map T (x) T on
+    flattened tensor-square vectors.  Only the planes of T (x) T that
+    :func:`_bilinear` reads, at the nonzero coordinates of s and t, are
+    built; their zero products are left as ``0``, which it skips."""
+    n = len(T)
+    planes = {}
+    for ij, sij in enumerate(s):
+        if not sij:
+            continue
+        i, j = divmod(ij, n)
+        planes[ij] = plane = {}
+        for pq, tpq in enumerate(t):
+            if tpq:
+                p, q = divmod(pq, n)
+                plane[pq] = [
+                    x * y if x and y else 0 for x in T[i][p] for y in T[j][q]
+                ]
+    return _bilinear(planes, s, t, zero)
+
+
 def multiply(H: HopfStructure, a, b) -> tuple:
     """Bilinear extension of the multiplication tensor."""
     _check_len(H, a)
     _check_len(H, b)
-    n = H.dim
-    zero = a[0] * 0
-    out = [zero] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        row = H.mul[i]
-        for j, bj in enumerate(b):
-            if bj == 0:
-                continue
-            coef = ai * bj
-            for k, m in enumerate(row[j]):
-                if m:
-                    out[k] = out[k] + coef * m
-    return tuple(out)
+    return tuple(_bilinear(H.mul, a, b, a[0] * 0))
 
 
 def comultiply(H: HopfStructure, a) -> tuple:
     """Linear extension of the comultiplication tensor; returns the flattened
     tensor-square coefficient vector of length dim**2."""
     _check_len(H, a)
-    n = H.dim
-    zero = a[0] * 0
-    out = [zero] * (n * n)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        plane = H.comul[i]
-        for j in range(n):
-            row = plane[j]
-            for k in range(n):
-                m = row[k]
-                if m:
-                    out[j * n + k] = out[j * n + k] + ai * m
-    return tuple(out)
+    flat = [[c for row in plane for c in row] for plane in H.comul]
+    return tuple(_linear(a, flat, a[0] * 0))
 
 
 def tensor_multiply(H: HopfStructure, s, t) -> tuple:
@@ -174,51 +221,17 @@ def tensor_multiply(H: HopfStructure, s, t) -> tuple:
     n = H.dim
     if len(s) != n * n or len(t) != n * n:
         raise ValueError("tensor-square element length must be dim**2")
-    zero = s[0] * 0
-    out = [zero] * (n * n)
-    for ij, sij in enumerate(s):
-        if sij == 0:
-            continue
-        i, j = divmod(ij, n)
-        for pq, tpq in enumerate(t):
-            if tpq == 0:
-                continue
-            p, q = divmod(pq, n)
-            coef = sij * tpq
-            left = H.mul[i][p]
-            right = H.mul[j][q]
-            for k in range(n):
-                lk = left[k]
-                if not lk:
-                    continue
-                for l in range(n):
-                    rl = right[l]
-                    if rl:
-                        out[k * n + l] = out[k * n + l] + coef * (lk * rl)
-    return tuple(out)
+    return tuple(_square_product(H.mul, s, t, s[0] * 0))
 
 
 def counit_of(H: HopfStructure, a):
     _check_len(H, a)
-    acc = a[0] * 0
-    for ai, e in zip(a, H.counit):
-        if e:
-            acc = acc + ai * e
-    return acc
+    return _linear(a, [(e,) for e in H.counit], a[0] * 0)[0]
 
 
 def antipode_of(H: HopfStructure, a) -> tuple:
     _check_len(H, a)
-    n = H.dim
-    zero = a[0] * 0
-    out = [zero] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, s in enumerate(H.antipode[i]):
-            if s:
-                out[j] = out[j] + ai * s
-    return tuple(out)
+    return tuple(_linear(a, H.antipode, a[0] * 0))
 
 
 # -- axiom verification -------------------------------------------------------
@@ -242,28 +255,22 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
         rb.residual_vector("unit_left", (i,), vec_sub(multiply(H, H.unit, basis[i]), basis[i]))
         rb.residual_vector("unit_right", (i,), vec_sub(multiply(H, basis[i], H.unit), basis[i]))
 
-    # coassociativity on the stored tensor
+    # coassociativity on the stored tensor: left[c] is the (x) c slice of
+    # (coproduct (x) id) coproduct(e_i), right[a] the a (x) slice of
+    # (id (x) coproduct) coproduct(e_i)
     for i in range(n):
+        left = [comultiply(H, [row[c] for row in H.comul[i]]) for c in range(n)]
+        right = [comultiply(H, row) for row in H.comul[i]]
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    lhs = sum(
-                        H.comul[i][j][c] * H.comul[j][a][b] for j in range(n)
-                    )
-                    rhs = sum(
-                        H.comul[i][a][j] * H.comul[j][b][c] for j in range(n)
-                    )
-                    rb.residual("coassoc", (i, a, b, c), lhs - rhs)
+                    rb.residual("coassoc", (i, a, b, c), left[c][a * n + b] - right[a][b * n + c])
 
     for i in range(n):
-        left = [
-            sum(H.comul[i][j][k] * H.counit[j] for j in range(n)) for k in range(n)
-        ]
-        right = [
-            sum(H.comul[i][j][k] * H.counit[k] for k in range(n)) for j in range(n)
-        ]
-        rb.residual_vector("counit_left", (i,), vec_sub(tuple(left), basis[i]))
-        rb.residual_vector("counit_right", (i,), vec_sub(tuple(right), basis[i]))
+        left = _linear(H.counit, H.comul[i], Fraction(0))
+        right = [counit_of(H, row) for row in H.comul[i]]
+        rb.residual_vector("counit_left", (i,), vec_sub(left, basis[i]))
+        rb.residual_vector("counit_right", (i,), vec_sub(right, basis[i]))
 
     for i in range(n):
         for j in range(n):
@@ -283,21 +290,15 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
     rb.residual("unit_counit", (), counit_of(H, H.unit) - Fraction(1))
 
     for i in range(n):
-        left = [Fraction(0)] * n
-        right = [Fraction(0)] * n
-        for j in range(n):
-            for k in range(n):
-                c = H.comul[i][j][k]
-                if not c:
-                    continue
-                sj = multiply(H, antipode_of(H, basis[j]), basis[k])
-                js = multiply(H, basis[j], antipode_of(H, basis[k]))
-                for t in range(n):
-                    left[t] += c * sj[t]
-                    right[t] += c * js[t]
+        left = _sweedler(
+            H, i, lambda j, k: multiply(H, antipode_of(H, basis[j]), basis[k]), Fraction(0)
+        )
+        right = _sweedler(
+            H, i, lambda j, k: multiply(H, basis[j], antipode_of(H, basis[k])), Fraction(0)
+        )
         target = vec_scale(H.counit[i], H.unit)
-        rb.residual_vector("antipode_left", (i,), vec_sub(tuple(left), target))
-        rb.residual_vector("antipode_right", (i,), vec_sub(tuple(right), target))
+        rb.residual_vector("antipode_left", (i,), vec_sub(left, target))
+        rb.residual_vector("antipode_right", (i,), vec_sub(right, target))
 
     return rb.done()
 
@@ -439,26 +440,38 @@ def hopf_to_json_dict(H: HopfStructure) -> dict:
     }
 
 
+def _json_array(value, depth: int, leaf, name: str) -> tuple:
+    """A JSON list nested ``depth`` deep as nested tuples, with ``leaf``
+    applied to the innermost entries.  A string or any other non-list is
+    rejected at every level."""
+    if not isinstance(value, list):
+        raise ValueError(
+            f"Hopf structure {name} must be nested JSON lists, found {type(value).__name__}"
+        )
+    if depth == 1:
+        return tuple(leaf(v) for v in value)
+    return tuple(_json_array(v, depth - 1, leaf, name) for v in value)
+
+
 def hopf_from_json_dict(data: dict) -> HopfStructure:
     try:
         n = data["dim"]
-        basis = tuple(str(s) for s in data["basis"])
-        mul = tuple(
-            tuple(tuple(parse_rational(c) for c in row) for row in plane)
-            for plane in data["mul"]
-        )
-        unit = tuple(parse_rational(c) for c in data["unit"])
-        comul = tuple(
-            tuple(tuple(parse_rational(c) for c in row) for row in plane)
-            for plane in data["comul"]
-        )
-        counit = tuple(parse_rational(c) for c in data["counit"])
-        antipode = tuple(tuple(parse_rational(c) for c in row) for row in data["antipode"])
+        fields = [
+            _json_array(data[name], depth, leaf, name)
+            for name, depth, leaf in (
+                ("basis", 1, str),
+                ("mul", 3, parse_rational),
+                ("unit", 1, parse_rational),
+                ("comul", 3, parse_rational),
+                ("counit", 1, parse_rational),
+                ("antipode", 2, parse_rational),
+            )
+        ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Hopf structure payload: {exc}") from exc
-    if type(n) is not int:  # a bool, float or string is not a dimension
-        raise ValueError(f"Hopf structure dim must be an integer, got {n!r}")
-    return HopfStructure(n, basis, mul, unit, comul, counit, antipode)
+    if type(n) is not int or n < 1:  # a bool, float or string is not a dimension
+        raise ValueError(f"Hopf structure dim must be a positive integer, got {n!r}")
+    return HopfStructure(n, *fields)
 
 
 def hopf_to_json(H: HopfStructure) -> str:

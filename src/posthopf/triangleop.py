@@ -21,7 +21,12 @@ from .hopfcore import (
     AxiomReport,
     HopfStructure,
     _ReportBuilder,
+    _bilinear,
+    _linear,
+    _square_product,
+    _sweedler,
     basis_element,
+    comultiply,
     counit_of,
     multiply,
     vec_scale,
@@ -88,47 +93,7 @@ def apply(H: HopfStructure, op: TriangleOp, x, y) -> tuple:
         raise ValueError("operation dimension does not match the Hopf structure")
     if len(x) != n or len(y) != n:
         raise ValueError("element lengths do not match dim")
-    zero = x[0] * 0
-    out = [zero] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coef = xi * yj
-            for k, c in enumerate(op.table[i][j]):
-                if c != 0:
-                    out[k] = out[k] + coef * c
-    return tuple(out)
-
-
-def _op_basis_apply(op: TriangleOp, i: int, vec) -> list:
-    """e_i |> (vector with ring coefficients)."""
-    n = op.dim
-    zero = vec[0] * 0
-    out = [zero] * n
-    for l, wl in enumerate(vec):
-        if wl == 0:
-            continue
-        for k, c in enumerate(op.table[i][l]):
-            if c != 0:
-                out[k] = out[k] + wl * c
-    return out
-
-
-def _vec_basis_apply(op: TriangleOp, vec, j: int) -> list:
-    """(vector) |> e_j."""
-    n = op.dim
-    zero = vec[0] * 0
-    out = [zero] * n
-    for l, ul in enumerate(vec):
-        if ul == 0:
-            continue
-        for k, c in enumerate(op.table[l][j]):
-            if c != 0:
-                out[k] = out[k] + ul * c
-    return out
+    return tuple(_bilinear(op.table, x, y, x[0] * 0))
 
 
 def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
@@ -137,42 +102,13 @@ def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     ``eps(x) eps(y)``, for all basis pairs."""
     n = H.dim
     rb = _ReportBuilder()
+    zero = op.table[0][0][0] * 0
+    deltas = [comultiply(H, basis_element(H, i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             cell = op.table[i][j]
-            zero = cell[0] * 0
-            lhs = [zero] * (n * n)
-            for m, cm in enumerate(cell):
-                if cm == 0:
-                    continue
-                plane = H.comul[m]
-                for a in range(n):
-                    for b in range(n):
-                        c = plane[a][b]
-                        if c:
-                            lhs[a * n + b] = lhs[a * n + b] + cm * c
-            rhs = [zero] * (n * n)
-            for a in range(n):
-                for b in range(n):
-                    cab = H.comul[i][a][b]
-                    if not cab:
-                        continue
-                    for c in range(n):
-                        for d in range(n):
-                            ccd = H.comul[j][c][d]
-                            if not ccd:
-                                continue
-                            coef = cab * ccd
-                            left = op.table[a][c]
-                            right = op.table[b][d]
-                            for k in range(n):
-                                lk = left[k]
-                                if lk == 0:
-                                    continue
-                                for l in range(n):
-                                    rl = right[l]
-                                    if rl != 0:
-                                        rhs[k * n + l] = rhs[k * n + l] + coef * (lk * rl)
+            lhs = comultiply(H, cell)
+            rhs = _square_product(op.table, deltas[i], deltas[j], zero)
             for comp in range(n * n):
                 rb.residual("coalgebra_delta", (i, j, comp // n, comp % n), lhs[comp] - rhs[comp])
             eps = counit_of(H, cell) - H.counit[i] * H.counit[j]
@@ -184,24 +120,14 @@ def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y z) = (x1 |> y)(x2 |> z)`` on all basis triples."""
     n = H.dim
     rb = _ReportBuilder()
+    T = op.table
+    zero = T[0][0][0] * 0
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = _op_basis_apply(op, i, H.mul[j][k])
-                zero = lhs[0] * 0
-                rhs = [zero] * n
-                for a in range(n):
-                    for b in range(n):
-                        c = H.comul[i][a][b]
-                        if not c:
-                            continue
-                        prod = multiply(H, op.table[a][j], op.table[b][k])
-                        for t in range(n):
-                            if prod[t] != 0:
-                                rhs[t] = rhs[t] + c * prod[t]
-                rb.residual_vector(
-                    "distributivity", (i, j, k), tuple(x - y for x, y in zip(lhs, rhs))
-                )
+                lhs = _linear(H.mul[j][k], T[i], zero)
+                rhs = _sweedler(H, i, lambda a, b: multiply(H, T[a][j], T[b][k]), zero)
+                rb.residual_vector("distributivity", (i, j, k), vec_sub(lhs, rhs))
     return rb.done()
 
 
@@ -209,36 +135,29 @@ def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y |> z) = (x1 (x2 |> y)) |> z`` on all basis triples."""
     n = H.dim
     rb = _ReportBuilder()
+    T = op.table
+    zero = T[0][0][0] * 0
+    e = [basis_element(H, a) for a in range(n)]
+    # cols[k][l] = e_l |> e_k, so _linear(x, cols[k], zero) is x |> e_k
+    cols = [[row[k] for row in T] for k in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = _op_basis_apply(op, i, op.table[j][k])
-                zero = lhs[0] * 0
-                rhs = [zero] * n
-                for a in range(n):
-                    for b in range(n):
-                        c = H.comul[i][a][b]
-                        if not c:
-                            continue
-                        inner = multiply(H, basis_element(H, a), op.table[b][j])
-                        outer = _vec_basis_apply(op, inner, k)
-                        for t in range(n):
-                            if outer[t] != 0:
-                                rhs[t] = rhs[t] + c * outer[t]
-                rb.residual_vector(
-                    "weighted_assoc", (i, j, k), tuple(x - y for x, y in zip(lhs, rhs))
+                lhs = _linear(T[j][k], T[i], zero)
+                rhs = _sweedler(
+                    H, i, lambda a, b: _linear(multiply(H, e[a], T[b][j]), cols[k], zero), zero
                 )
+                rb.residual_vector("weighted_assoc", (i, j, k), vec_sub(lhs, rhs))
     return rb.done()
 
 
 def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``1 |> x = x`` on all basis elements (the extra axiom of the weak,
     as opposed to relaxed, setting)."""
-    n = H.dim
     rb = _ReportBuilder()
-    for j in range(n):
-        acted = _vec_basis_apply(op, H.unit, j)
-        rb.residual_vector("unitality", (j,), vec_sub(tuple(acted), basis_element(H, j)))
+    for j in range(H.dim):
+        acted = _linear(H.unit, [row[j] for row in op.table], H.unit[0] * 0)
+        rb.residual_vector("unitality", (j,), vec_sub(acted, basis_element(H, j)))
     return rb.done()
 
 
@@ -288,20 +207,12 @@ def extend_generators(H4: HopfStructure, gt: GeneratorTable) -> TriangleOp:
         raise ValueError("generator completion is specific to the 4-dimensional algebra")
     col_g = [gt.rows[i][0] for i in range(4)]
     col_v = [gt.rows[i][1] for i in range(4)]
+    zero = col_g[0][0] * 0
 
     def completed(i: int, second_col) -> tuple:
-        zero = col_g[0][0] * 0
-        out = [zero] * 4
-        for a in range(4):
-            for b in range(4):
-                c = H4.comul[i][a][b]
-                if not c:
-                    continue
-                prod = multiply(H4, col_g[a], second_col[b])
-                for t in range(4):
-                    if prod[t] != 0:
-                        out[t] = out[t] + c * prod[t]
-        return tuple(out)
+        return tuple(
+            _sweedler(H4, i, lambda a, b: multiply(H4, col_g[a], second_col[b]), zero)
+        )
 
     table = tuple(
         (completed(i, col_g), tuple(col_g[i]), tuple(col_v[i]), completed(i, col_v))

@@ -168,12 +168,20 @@ def test_verify_large_prime_is_answered(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys):
-    data = json.loads(hopf_to_json(sweedler_h4()))
-    data["dim"] = 4.5
+@pytest.mark.parametrize(
+    "changes", [
+        {"dim": 4.5},
+        # strings iterate like lists: these once read as Sweedler's algebra
+        {"unit": "1000", "counit": "1100"},
+        {"dim": 0, **{key: [] for key in ("basis", "mul", "unit", "comul", "counit", "antipode")}},
+    ],
+    ids=["float-dim", "string-vectors", "zero-dim"],
+)
+def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys, changes):
+    data = {**json.loads(hopf_to_json(sweedler_h4())), **changes}
     path = tmp_path / "h4.json"
     path.write_text(json.dumps(data), "utf-8")
-    code, _, err = run(capsys, "verify", "--hopf", str(path))
+    code, _, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi")
     assert code == 2
     assert err.startswith("error:")
 
