@@ -171,7 +171,7 @@ def test_verify_large_prime_is_answered(tmp_path, capsys):
 @pytest.mark.parametrize(
     "changes", [
         {"dim": 4.5},
-        # strings iterate like lists: these once read as Sweedler's algebra
+        # a string iterates like a list: unchecked, these read as Sweedler's algebra
         {"unit": "1000", "counit": "1100"},
         {"dim": 0, **{key: [] for key in ("basis", "mul", "unit", "comul", "counit", "antipode")}},
     ],
