@@ -21,7 +21,7 @@ from .hopfcore import (
     HopfStructure,
     basis_element,
     group_likes,
-    hopf_from_json,
+    hopf_from_json_dict,
     skew_primitives,
     sweedler_h4,
     verify_hopf_axioms,
@@ -153,10 +153,18 @@ def _report_json(report) -> dict:
 
 # -- input parsing ---------------------------------------------------------------
 
+def _read_json(path: str):
+    """A JSON file's document; nesting too deep to parse is bad input."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_hopf(ref: str) -> HopfStructure:
     if ref == "builtin:h4":
         return sweedler_h4()
-    return hopf_from_json(Path(ref).read_text("utf-8"))
+    return hopf_from_json_dict(_read_json(ref))
 
 
 def _load_op(ref: str) -> TriangleOp:
@@ -170,7 +178,7 @@ def _load_op(ref: str) -> TriangleOp:
         if len(parts) == 3 and parts[2].startswith("a="):
             return family_table(label, parse_rational(parts[2][2:]))
         raise ValueError(f"bad family reference {ref!r}; use family:iii or family:i:a=3/2")
-    return op_from_json_dict(json.loads(Path(ref).read_text("utf-8")))
+    return op_from_json_dict(_read_json(ref))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -427,9 +435,6 @@ def main(argv=None) -> int:
         return ERROR if exc.code else PASS
     try:
         report: RunReport = args.func(args)
-    except _ffenum.EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

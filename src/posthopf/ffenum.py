@@ -13,10 +13,14 @@ The search runs over the 32 generator unknowns, not all 64 coefficients: the
 product rule forces the remaining columns, the same completion the
 classifier uses.
 
-Each chosen row is folded (substituted, mod p) into the constraints of every
-deeper row once, and the folded system is carried down the recursion, so all
-children of a prefix share that work; a row whose constraints fold to a
-nonzero constant has no candidates.  A row's candidates come from its folded
+The constraints are integer term lists over 32 slots, ``8*row + k`` for
+coordinate k of ``row |> g`` (k < 4) or of ``row |> v`` (k >= 4), read off the
+classifier's unknown table.  The search starts from the whole system reduced
+mod p; each chosen row is then folded (substituted, mod p) into the
+constraints of every deeper row once, and the folded system is carried down
+the recursion, so all children of a prefix share that work and every row's
+constraints arrive reduced; a row whose constraints fold to a nonzero
+constant has no candidates.  A row's candidates come from its folded
 constraints: those linear in its eight slots are row-reduced over F_p with
 the two counit pins, and a small affine solution space is enumerated and
 filtered by the rest; a large one is scanned in two counit-pinned halves.
@@ -52,7 +56,6 @@ from .triangleop import (
 __all__ = [
     "EnumerationTask",
     "EnumerationReport",
-    "EnumerationLimitError",
     "FamilyDiff",
     "row_candidates",
     "enumerate_structures",
@@ -63,16 +66,10 @@ __all__ = [
 MAX_PRIME = 13
 
 
-class EnumerationLimitError(RuntimeError):
-    """Raised when the candidate cap is exceeded; partial results are
-    discarded."""
-
-
 @dataclass(frozen=True)
 class EnumerationTask:
     prime: int
     mode: str = "relaxed"
-    max_leaves: int | None = None
 
     def __post_init__(self):
         if self.prime > MAX_PRIME or not is_odd_prime(self.prime):
@@ -95,36 +92,29 @@ class EnumerationReport:
 # -- the reduced symbolic system -----------------------------------------------
 
 @lru_cache(maxsize=None)
-def _generator_layout():
-    """(row, local-slot) of each of the 32 generator unknowns; slots 0-3 are
-    the x|>g coordinates, 4-7 the x|>v coordinates."""
-    _op, reg, system = _cached_system("relaxed", "generator32")
-    rows = []
-    locals_ = []
-    for vid in range(len(reg)):
-        _, i, j, k = reg.name_of(vid).split("_")
-        rows.append(int(i))
-        locals_.append((int(j) - 1) * 4 + int(k))
-    return tuple(rows), tuple(locals_)
-
-
-@lru_cache(maxsize=None)
 def _system_terms(mode: str):
-    """Constraints of the generator parameterization as integer term lists,
-    grouped by depth (the highest row index occurring in the support)."""
-    _op, _reg, system = _cached_system(mode, "generator32")
-    row_of, _ = _generator_layout()
+    """Constraints of the generator parameterization as integer term lists
+    ``[(coeff, ((slot, exp), ...)), ...]``, grouped by depth (the highest row
+    occurring in the support).  The unknown of ``row |> g`` coordinate k is
+    slot ``8*row + k`` and that of ``row |> v`` slot ``8*row + 4 + k``, read
+    off the unknown table, so ``slot >> 3`` is the row and ``slot & 7`` the
+    local slot, the place in that row's candidate tuple."""
+    op, _reg, system = _cached_system(mode, "generator32")
+    slot_of = {
+        unknown.support[0]: 8 * row + 4 * half + k
+        for row in range(4)
+        for half in (0, 1)
+        for k, unknown in enumerate(op.table[row][1 + half])
+    }
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
     for constraint in system.equations:
         terms = []
-        depth = 0
+        # slot order puts a row's unknowns first once the earlier rows fold
         for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
-            terms.append((int(coeff), mono))
-            for v, _e in mono:
-                if row_of[v] > depth:
-                    depth = row_of[v]
+            terms.append((int(coeff), tuple(sorted((slot_of[v], e) for v, e in mono))))
+        depth = max((mono[-1][0] >> 3 for _c, mono in terms if mono), default=0)
         grouped[depth].append(terms)
     for lst in grouped.values():
         lst.sort(key=len)
@@ -137,8 +127,8 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     :func:`_system_terms`, or None for a depth already infeasible).  The
     result holds the depths beyond ``row`` with coefficients reduced mod p
     and vanishing constraints dropped; a depth becomes None as soon as one of
-    its constraints folds to a nonzero constant."""
-    row_of, local_of = _generator_layout()
+    its constraints folds to a nonzero constant.  Row -1 substitutes nothing
+    and only reduces."""
     folded: dict = {}
     for depth, constraints in system.items():
         if depth <= row:
@@ -151,10 +141,10 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
             acc: dict = {}
             for coeff, mono in terms:
                 k = 0
-                for v, e in mono:
-                    if row_of[v] != row:
+                for s, e in mono:
+                    if s >> 3 != row:
                         break
-                    coeff *= values[local_of[v]] ** e
+                    coeff *= values[s & 7] ** e
                     k += 1
                 if k:
                     coeff %= p
@@ -175,37 +165,12 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     return folded
 
 
-def _row_system(p: int, constraints) -> list | None:
-    """The depth-``row`` constraints of a system in which every earlier row
-    is folded, as term lists over this row's eight local slots.  Returns
-    None if some constraint is a nonzero constant."""
-    if constraints is None:
-        return None
-    _row_of, local_of = _generator_layout()
-    compiled = []
-    for terms in constraints:
-        acc: dict = {}
-        for coeff, mono in terms:
-            local = tuple((local_of[v], e) for v, e in mono)
-            acc[local] = (acc.get(local, 0) + coeff) % p
-        reduced = sorted(
-            ((local, c) for local, c in acc.items() if c), key=lambda t: (len(t[0]), t[0])
-        )
-        if not reduced:
-            continue
-        if len(reduced) == 1 and reduced[0][0] == ():
-            return None
-        compiled.append(reduced)
-    compiled.sort(key=len)
-    return compiled
-
-
 def _eval_compiled(terms, vals, p: int) -> int:
     total = 0
-    for mono, c in terms:
+    for c, mono in terms:
         v = c
-        for idx, e in mono:
-            v = v * pow(vals[idx], e, p) % p
+        for s, e in mono:
+            v = v * pow(vals[s & 7], e, p) % p
             if v == 0:
                 break
         total = (total + v) % p
@@ -213,7 +178,7 @@ def _eval_compiled(terms, vals, p: int) -> int:
 
 
 def _is_linear(terms) -> bool:
-    return all(len(mono) <= 1 and (not mono or mono[0][1] == 1) for mono, _c in terms)
+    return all(len(mono) <= 1 and (not mono or mono[0][1] == 1) for _c, mono in terms)
 
 
 # an affine solution space is enumerated up to p**3 points, the size of one
@@ -230,9 +195,9 @@ def _solve_linear(p: int, eps_x: int, linear, nonlinear) -> list[tuple] | None:
     matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x % p), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
     for terms in linear:
         coeffs = [0] * 9
-        for mono, c in terms:
+        for c, mono in terms:
             if mono:
-                coeffs[mono[0][0]] = c
+                coeffs[mono[0][0] & 7] = c
             else:
                 coeffs[8] = -c
         inv = pow(next(c for c in coeffs if c), -1, p)
@@ -259,12 +224,12 @@ def _solve_linear(p: int, eps_x: int, linear, nonlinear) -> list[tuple] | None:
     return candidates
 
 
-def _scan(p: int, eps_x: int, compiled) -> list[tuple]:
+def _scan(p: int, eps_x: int, constraints) -> list[tuple]:
     """Candidates of a row by scanning the counit-pinned x|>g half, then the
     x|>v half for each survivor, lexicographically in slots 1-3, 5-7."""
     v_only, rest = [], []
-    for c in compiled:
-        bucket = v_only if all(idx < 4 for mono, _ in c for idx, _e in mono) else rest
+    for c in constraints:
+        bucket = v_only if all(s & 7 < 4 for _c, mono in c for s, _e in mono) else rest
         bucket.append(c)
 
     candidates: list[tuple] = []
@@ -295,30 +260,31 @@ def row_candidates(
     satisfy every constraint whose support lies within the assigned rows plus
     this one, lexicographically in slots 1-3, 5-7.
 
-    ``system`` is the constraint system with ``assigned_rows`` already folded
-    in (see :func:`_fold`); without it the rows are folded here.  Counit
-    compatibility pins slots 0 and 4.  The constraints linear in this row's
-    slots are row-reduced together with those pins; when at most
-    ``_MAX_FREE_SLOTS`` slots stay free, the affine solution space is
-    enumerated and filtered by the nonlinear constraints.  Otherwise the two
-    pinned halves are scanned, p**3 points each, against every constraint."""
+    ``system`` is the reduced constraint system with ``assigned_rows``
+    already folded in (see :func:`_fold`); without it the system is reduced
+    and the rows are folded here.  Counit compatibility pins slots 0 and 4.
+    The constraints linear in this row's slots are row-reduced together with
+    those pins; when at most ``_MAX_FREE_SLOTS`` slots stay free, the affine
+    solution space is enumerated and filtered by the nonlinear constraints.
+    Otherwise the two pinned halves are scanned, p**3 points each, against
+    every constraint."""
     if tuple(H4.counit) != (1, 1, 0, 0) or H4.dim != 4:
         raise ValueError("row enumeration is specific to the Sweedler algebra")
     p = task.prime
     if system is None:
-        system = _system_terms(task.mode)
+        system = _fold(p, _system_terms(task.mode), -1, ())
         for r in range(row_index):
             system = _fold(p, system, r, assigned_rows[r])
-    compiled = _row_system(p, system[row_index])
-    if compiled is None:
+    constraints = system[row_index]
+    if constraints is None:
         return []
     eps_x = int(H4.counit[row_index])
     linear, nonlinear = [], []
-    for c in compiled:
+    for c in constraints:
         (linear if _is_linear(c) else nonlinear).append(c)
     candidates = _solve_linear(p, eps_x, linear, nonlinear)
     if candidates is None:
-        candidates = _scan(p, eps_x, compiled)
+        candidates = _scan(p, eps_x, constraints)
     return candidates
 
 
@@ -344,20 +310,11 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
     p = task.prime
     t0 = time.perf_counter()
     stats = {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 0}
-
-    base = _system_terms(task.mode)
-    stats["row_scans"] += 1
-    top = row_candidates(h4, task, 0, {}, base)
-
     found: dict[str, TriangleOp] = {}
 
     def descend(row: int, assigned: dict, system: dict) -> None:
         if row == 4:
             stats["leaves"] += 1
-            if task.max_leaves is not None and stats["leaves"] > task.max_leaves:
-                raise EnumerationLimitError(
-                    f"candidate cap of {task.max_leaves} tables exceeded"
-                )
             op = _table_from_rows(h4, p, assigned)
             if all(r.passed for r in axiom_suite(h4, op, task.mode).values()):
                 stats["passed"] += 1
@@ -373,8 +330,7 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
             descend(row + 1, assigned, _fold(p, system, row, cand))
         del assigned[row]
 
-    for cand in top:
-        descend(1, {0: cand}, _fold(p, base, 0, cand))
+    descend(0, {}, _fold(p, _system_terms(task.mode), -1, ()))
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

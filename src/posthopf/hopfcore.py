@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import kernel_basis, parse_rational
-from .multipoly import Poly, VarRegistry
+from .multipoly import VarRegistry
 from .solver import Constraint, ConstraintSystem, solve
 
 __all__ = [
@@ -314,24 +314,13 @@ def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
     n = H.dim
     reg = VarRegistry()
     xs = [reg.var(f"x{i}") for i in range(n)]
-    constraints = []
-
-    eq = Poly.constant(reg, -1)
-    for i in range(n):
-        if H.counit[i]:
-            eq = eq + xs[i] * H.counit[i]
-    constraints.append(Constraint(eq, "group_like_counit", ()))
-
-    for j in range(n):
-        for k in range(n):
-            lhs = Poly.zero(reg)
-            for i in range(n):
-                c = H.comul[i][j][k]
-                if c:
-                    lhs = lhs + xs[i] * c
-            constraints.append(
-                Constraint(lhs - xs[j] * xs[k], "group_like_comul", (j, k))
-            )
+    delta = comultiply(H, xs)
+    constraints = [Constraint(counit_of(H, xs) - 1, "group_like_counit", ())]
+    constraints += [
+        Constraint(delta[j * n + k] - xs[j] * xs[k], "group_like_comul", (j, k))
+        for j in range(n)
+        for k in range(n)
+    ]
 
     system = ConstraintSystem(reg, constraints, "group_like")
     branches, _stats = solve(system)

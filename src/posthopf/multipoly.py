@@ -570,7 +570,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = False) -> Poly:
+def parse_poly(registry: VarRegistry, text: str) -> Poly:
     """Parse the string grammar in the module docstring."""
     tokens = _tokenize(text)
     if not tokens:
@@ -593,9 +593,7 @@ def parse_poly(registry: VarRegistry, text: str, *, register_missing: bool = Fal
         if kind != "name":
             raise ValueError(f"expected variable name, got {name!r}")
         if name not in registry:
-            if not register_missing:
-                raise ValueError(f"unknown indeterminate {name!r}")
-            registry.add(name)
+            raise ValueError(f"unknown indeterminate {name!r}")
         vid = registry.id_of(name)
         exp = 1
         if peek() == ("op", "^"):

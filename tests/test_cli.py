@@ -112,10 +112,14 @@ def test_verify_cli_golden(tmp_path, capsys, ref, stem, mode):
     assert json_path.read_text("utf-8") == golden(f"verify-{stem}-{mode}.json")
 
 
-def test_verify_malformed_json(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["{not json", "[" * 200000 + "]" * 200000], ids=["syntax", "deep"])
+@pytest.mark.parametrize("flag", ["--hopf", "--op"])
+def test_verify_malformed_json(tmp_path, capsys, flag, text):
+    # a syntax error, or nesting too deep for the parser, is bad input
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", "utf-8")
-    code, _, err = run(capsys, "verify", "--hopf", str(bad))
+    bad.write_text(text, "utf-8")
+    argv = ["--hopf", str(bad)] if flag == "--hopf" else ["--hopf", "builtin:h4", "--op", str(bad)]
+    code, _, err = run(capsys, "verify", *argv)
     assert code == 2
     assert "error:" in err
 

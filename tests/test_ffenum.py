@@ -7,9 +7,7 @@ from posthopf import ffenum
 from posthopf.classifier import builtin_families
 from posthopf.exactmath import FpElement
 from posthopf.ffenum import (
-    EnumerationLimitError,
     EnumerationTask,
-    _generator_layout,
     _system_terms,
     compare_with_families,
     enumerate_structures,
@@ -78,19 +76,14 @@ def brute_force_candidates(p, mode, row, assigned):
     """Every point of F_p**8 for row ``row`` at which all depth-``row``
     constraints vanish, evaluated unreduced at the full point (the assigned
     rows plus the candidate), in row_candidates' order: lexicographic in
-    slots 1-3, 5-7."""
-    row_of, local_of = _generator_layout()
+    slots 1-3, 5-7.  Slot s is place ``s & 7`` of row ``s >> 3``."""
     constraints = _system_terms(mode)[row]
-    point = [
-        assigned[r][k] if r < row else 0 for r, k in zip(row_of, local_of)
-    ]
-    slots = [v for v, r in enumerate(row_of) if r == row]
+    point = [assigned[s >> 3][s & 7] if s >> 3 < row else 0 for s in range(32)]
     out = []
     for cand in itertools.product(range(p), repeat=8):
-        for v in slots:
-            point[v] = cand[local_of[v]]
+        point[8 * row:8 * row + 8] = cand
         if all(
-            sum(c * math.prod(point[v] ** e for v, e in mono) for c, mono in terms) % p == 0
+            sum(c * math.prod(point[s] ** e for s, e in mono) for c, mono in terms) % p == 0
             for terms in constraints
         ):
             out.append(cand)
@@ -189,11 +182,6 @@ def test_structures_sorted_and_distinct(enum_p5):
     serials = [op_serial(op) for op in enum_p5.structures]
     assert serials == sorted(serials)
     assert len(set(serials)) == len(serials)
-
-
-def test_leaf_cap_raises():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_structures(EnumerationTask(prime=3, max_leaves=2))
 
 
 def test_compare_diff_directions(enum_p3):

@@ -4,7 +4,8 @@ Each module may import only the modules below it in ``LAYERS``; the package
 facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
 module level only, so the layering is visible where a module starts.
 Outside the package, a module imports only the standard library.  The packed
-monomial format is ``multipoly``'s own: no other module touches it.
+monomial format is ``multipoly``'s own: no other module touches it.  The F_p
+oracle reads its slot map from the unknown table, never from variable names.
 """
 
 import ast
@@ -123,3 +124,16 @@ def test_packed_monomials_stay_in_multipoly():
     for path in paths:
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
         assert packed_form_uses(tree) == [], path.name
+
+
+def test_ffenum_reads_no_variable_names():
+    # the oracle numbers its unknowns from the classifier's unknown table, so
+    # renaming the classifier's indeterminates cannot move a slot
+    tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "name_of"
+    ]
+    assert calls == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from posthopf.exactmath import FpElement
 from posthopf.hopfcore import basis_element, sweedler_h4
 from posthopf.multipoly import Poly
 from posthopf.triangleop import (
@@ -176,6 +177,27 @@ def test_counit_absorption_examples(h4):
         assert check_counit_absorption(h4, family_table(label)).passed
 
 
+@pytest.mark.parametrize("cell, entry", [((1, 2, 2), "2"), ((0, 0, 0), "0")])
+def test_fp_residuals_are_residues(h4, cell, entry):
+    # family iv read mod 5, one entry changed: a residual whose sum has no
+    # nonzero table term is still a residue mod 5, not a rational
+    payload = op_to_json_dict(family_table("iv"))
+    payload["ring"] = {"prime": 5}
+    payload["table"] = [
+        [[str(int(e) % 5) for e in c] for c in row] for row in payload["table"]
+    ]
+    i, j, k = cell
+    payload["table"][i][j][k] = entry
+    op = op_from_json_dict(payload)
+    entries = [
+        e for check in (check_unitality, check_counit_absorption) for e in check(h4, op).entries
+    ]
+    assert entries
+    for e in entries:
+        assert isinstance(e.residual, FpElement) and e.residual.modulus == 5
+    assert str(check_unitality(h4, op).first_failure().residual) == "4"
+
+
 def test_all_families_pass_relaxed_suite_symbolically(h4):
     weak_unital = []
     for label in FAMILY_LABELS:
@@ -244,8 +266,6 @@ def test_json_roundtrip_poly():
 
 
 def test_json_roundtrip_prime():
-    from posthopf.exactmath import FpElement
-
     table = tuple(
         tuple(tuple(FpElement(i + j + k, 5) for k in range(4)) for j in range(4))
         for i in range(4)
