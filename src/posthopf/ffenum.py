@@ -116,8 +116,6 @@ def _system_terms(mode: str):
             terms.append((int(coeff), tuple(sorted((slot_of[v], e) for v, e in mono))))
         depth = max((mono[-1][0] >> 3 for _c, mono in terms if mono), default=0)
         grouped[depth].append(terms)
-    for lst in grouped.values():
-        lst.sort(key=len)
     return grouped
 
 

@@ -165,6 +165,8 @@ def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> 1 = eps(x) 1``; a consequence of the other axioms, checked as
     its own property."""
+    if op.dim != H.dim:
+        raise ValueError("operation dimension does not match the Hopf structure")
     rb = _ReportBuilder()
     zero = op.table[0][0][0] * 0
     for i in range(H.dim):

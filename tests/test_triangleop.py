@@ -175,6 +175,8 @@ def test_counit_absorption_examples(h4):
     assert g1 == tuple(Poly.constant(reg, c) for c in (1, 0, 0, 0))
     for label in FAMILY_LABELS:
         assert check_counit_absorption(h4, family_table(label)).passed
+    with pytest.raises(ValueError):
+        check_counit_absorption(h4, TriangleOp(2, (((1, 0), (0, 1)),) * 2))
 
 
 @pytest.mark.parametrize("cell, entry", [((1, 2, 2), "2"), ((0, 0, 0), "0")])
