@@ -13,17 +13,16 @@ The search runs over the 32 generator unknowns, not all 64 coefficients: the
 product rule forces the remaining columns, the same completion the
 classifier uses.
 
-The constraints are integer term lists over 32 slots, ``8*row + k`` for
-coordinate k of ``row |> g`` (k < 4) or of ``row |> v`` (k >= 4), read off the
-classifier's unknown table.  The search starts from the whole system reduced
-mod p; each chosen row is then folded (substituted, mod p) into the
-constraints of every deeper row once, and the folded system is carried down
-the recursion, so all children of a prefix share that work and every row's
-constraints arrive reduced; a row whose constraints fold to a nonzero
-constant has no candidates.  A row's candidates come from its folded
-constraints: those linear in its eight slots are row-reduced over F_p with
-the two counit pins, and a small affine solution space is enumerated and
-filtered by the rest; a large one is scanned in two counit-pinned halves.
+The constraints are integer term lists over 32 slots (``8*row + k``, read
+off the classifier's unknown table), reduced mod p once per search.  Each
+chosen row is then folded (substituted, mod p) into the constraints of
+every deeper row once, and the folded system is carried down the
+recursion, so all children of a prefix share that work; a row whose
+constraints fold to a nonzero constant has no candidates.  A row's
+candidates come from its folded constraints: those linear in its eight
+slots are row-reduced over F_p with the two counit pins, and a small
+affine solution space is enumerated and filtered by the rest; a large one
+is scanned in two counit-pinned halves.
 
 The oracle stays independent of the branch solver: it shares the constraint
 system that ``classifier`` generates, but none of the solver's moves
@@ -109,11 +108,13 @@ def _system_terms(mode: str):
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
     for constraint in system.equations:
         terms = []
-        # slot order puts a row's unknowns first once the earlier rows fold
         for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
-            terms.append((int(coeff), tuple(sorted((slot_of[v], e) for v, e in mono))))
+            # slot order puts a row's unknowns first once the earlier rows fold;
+            # where the numbering agrees, the classifier's shared tuple is kept
+            slot_mono = tuple(sorted((slot_of[v], e) for v, e in mono))
+            terms.append((int(coeff), mono if slot_mono == mono else slot_mono))
         depth = max((mono[-1][0] >> 3 for _c, mono in terms if mono), default=0)
         grouped[depth].append(terms)
     return grouped
