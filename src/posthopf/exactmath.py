@@ -11,7 +11,8 @@ modulus here.
 
 Matrices are nested sequences of field elements (all entries from one
 field).  ``rref`` and ``kernel_basis`` work for any field with exact
-``+ - * /`` and equality against ``0``.
+``+ - * /`` and equality against ``0``; ``int`` entries are read as
+rationals, so their rows come out as Fractions.
 """
 
 from __future__ import annotations
@@ -233,6 +234,8 @@ def rref(matrix):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r][c]
+        if isinstance(lead, int):  # int / int would be a float
+            lead = Fraction(lead)
         rows[r] = [x / lead for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c] != 0:

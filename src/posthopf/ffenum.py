@@ -17,12 +17,21 @@ The constraints are integer term lists over 32 slots (``8*row + k``, read
 off the classifier's unknown table), reduced mod p once per search.  Each
 chosen row is then folded (substituted, mod p) into the constraints of
 every deeper row once, and the folded system is carried down the
-recursion, so all children of a prefix share that work; a row whose
-constraints fold to a nonzero constant has no candidates.  A row's
+recursion, so all children of a prefix share that work.  A depth whose
+constraints include one folded to a nonzero constant is dead; a prefix
+with a dead depth is pruned at once, its next row neither scanned nor
+descended into, since no later row can change a constant.  A row's
 candidates come from its folded constraints: those linear in its eight
 slots are row-reduced over F_p with the two counit pins, and a small
 affine solution space is enumerated and filtered by the rest; a large one
 is scanned in two counit-pinned halves.
+
+The re-check of a completed table runs on its integer lift: the chosen
+residues (ints in 0..p-1) are completed and checked in int arithmetic, with
+the Sweedler algebra's int structure constants.  Every axiom side is an
+integer polynomial in the table entries and those constants, and reduction
+Z -> F_p is a ring map, so the table passes over F_p exactly when p divides
+every integer residual.  Only a passing table is reduced to F_p entries.
 
 The oracle stays independent of the branch solver: it shares the constraint
 system that ``classifier`` generates, but none of the solver's moves
@@ -62,7 +71,7 @@ __all__ = [
     "compare_with_families",
 ]
 
-MAX_PRIME = 13
+MAX_PRIME = 31
 
 
 @dataclass(frozen=True)
@@ -289,17 +298,24 @@ def row_candidates(
 
 # -- full enumeration ------------------------------------------------------------
 
-def _table_from_rows(H4: HopfStructure, p: int, rows: dict) -> TriangleOp:
-    gt = GeneratorTable(
-        tuple(
-            (
-                tuple(FpElement(rows[i][k], p) for k in range(4)),
-                tuple(FpElement(rows[i][4 + k], p) for k in range(4)),
-            )
-            for i in range(4)
-        )
+def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None:
+    """The completed table of the chosen residues ``rows`` as an F_p table,
+    or None when it fails the mode's axioms.  The axioms are checked on the
+    integer lift, where a table passes over F_p exactly when p divides every
+    residual (see the module docstring)."""
+    lifted = extend_generators(
+        H4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4)))
     )
-    return extend_generators(H4, gt)
+    for report in axiom_suite(H4, lifted, mode).values():
+        if any(entry.residual % p for entry in report.entries):
+            return None
+    return TriangleOp(
+        4,
+        tuple(
+            tuple(tuple(FpElement(x, p) for x in cell) for cell in row)
+            for row in lifted.table
+        ),
+    )
 
 
 def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
@@ -314,10 +330,15 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
     def descend(row: int, assigned: dict, system: dict) -> None:
         if row == 4:
             stats["leaves"] += 1
-            op = _table_from_rows(h4, p, assigned)
-            if all(r.passed for r in axiom_suite(h4, op, task.mode).values()):
+            op = _leaf(h4, p, task.mode, assigned)
+            if op is not None:
                 stats["passed"] += 1
                 found[op_serial(op)] = op
+            return
+        # a dead depth holds a constraint folded to a nonzero constant, which
+        # no later row can change
+        if None in system.values():
+            stats["prefix_pruned"] += 1
             return
         stats["row_scans"] += 1
         cands = row_candidates(h4, task, row, assigned, system)

@@ -3,9 +3,16 @@
 A :class:`HopfStructure` fixes a basis and stores the multiplication and
 comultiplication tensors, unit and counit vectors, and the antipode matrix,
 all over exact rationals.  Elements are coefficient tuples over any exact
-ring that combines with Fractions (Fraction itself, prime-field elements,
-polynomials), so the same bilinear machinery serves numeric, finite-field
-and symbolic computations.
+ring that combines with ints and Fractions (Fraction itself, int,
+prime-field elements, polynomials), so the same bilinear machinery serves
+numeric, finite-field and symbolic computations.
+
+The constants of :func:`sweedler_h4` are all 0 or +-1 and are stored as
+``int``, as are the coordinates of :func:`basis_element`: products of int
+vectors then stay in int arithmetic, which the F_p oracle's integer leaf
+check relies on, and no product of a table entry goes through ``Fraction``.
+A structure read from a JSON payload holds ``Fraction`` constants; the two
+compare and hash equal, and both serialize to the same strings.
 
 That machinery is three private kernels, which ``triangleop`` shares:
 ``_bilinear`` contracts a structure tensor with two coefficient vectors
@@ -125,7 +132,7 @@ def _check_len(H: HopfStructure, a) -> None:
 
 
 def basis_element(H: HopfStructure, i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(H.dim))
+    return tuple(int(k == i) for k in range(H.dim))
 
 
 def vec_sub(a, b):
@@ -366,51 +373,42 @@ def skew_primitives(H: HopfStructure, g, h) -> list[tuple]:
 @lru_cache(maxsize=1)
 def sweedler_h4() -> HopfStructure:
     """The four-dimensional Hopf algebra on basis (1, g, v, gv) with
-    g*g = 1, v*v = 0, g*v = -v*g, coproduct g -> g(x)g, v -> g(x)v + v(x)1."""
+    g*g = 1, v*v = 0, g*v = -v*g, coproduct g -> g(x)g, v -> g(x)v + v(x)1.
+    Every structure constant is an ``int``."""
     n = 4
-    F0, F1 = Fraction(0), Fraction(1)
-
-    def vec(*entries):
-        return tuple(Fraction(e) for e in entries)
-
-    mul = [[[F0] * n for _ in range(n)] for _ in range(n)]
-
-    def set_prod(i, j, k, c):
-        mul[i][j][k] = Fraction(c)
-
+    mul = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        set_prod(0, i, i, 1)
-        if i:
-            set_prod(i, 0, i, 1)
-    set_prod(1, 1, 0, 1)    # g g = 1
-    set_prod(1, 2, 3, 1)    # g v = gv
-    set_prod(1, 3, 2, 1)    # g gv = v
-    set_prod(2, 1, 3, -1)   # v g = -gv
-    set_prod(3, 1, 2, -1)   # gv g = -v
+        mul[0][i][i] = 1
+        mul[i][0][i] = 1
+    mul[1][1][0] = 1     # g g = 1
+    mul[1][2][3] = 1     # g v = gv
+    mul[1][3][2] = 1     # g gv = v
+    mul[2][1][3] = -1    # v g = -gv
+    mul[3][1][2] = -1    # gv g = -v
     # v v, v gv, gv v, gv gv are all zero
 
-    comul = [[[F0] * n for _ in range(n)] for _ in range(n)]
-    comul[0][0][0] = F1                      # 1 -> 1 (x) 1
-    comul[1][1][1] = F1                      # g -> g (x) g
-    comul[2][1][2] = F1                      # v -> g (x) v + v (x) 1
-    comul[2][2][0] = F1
-    comul[3][0][3] = F1                      # gv -> 1 (x) gv + gv (x) g
-    comul[3][3][1] = F1
+    comul = [[[0] * n for _ in range(n)] for _ in range(n)]
+    comul[0][0][0] = 1                       # 1 -> 1 (x) 1
+    comul[1][1][1] = 1                       # g -> g (x) g
+    comul[2][1][2] = 1                       # v -> g (x) v + v (x) 1
+    comul[2][2][0] = 1
+    comul[3][0][3] = 1                       # gv -> 1 (x) gv + gv (x) g
+    comul[3][3][1] = 1
 
     antipode = (
-        vec(1, 0, 0, 0),
-        vec(0, 1, 0, 0),
-        vec(0, 0, 0, -1),   # S(v) = -gv
-        vec(0, 0, 1, 0),    # S(gv) = v
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 0, -1),   # S(v) = -gv
+        (0, 0, 1, 0),    # S(gv) = v
     )
 
     return HopfStructure(
         dim=n,
         basis_names=("1", "g", "v", "gv"),
         mul=tuple(tuple(tuple(r) for r in plane) for plane in mul),
-        unit=vec(1, 0, 0, 0),
+        unit=(1, 0, 0, 0),
         comul=tuple(tuple(tuple(r) for r in plane) for plane in comul),
-        counit=vec(1, 1, 0, 0),
+        counit=(1, 1, 0, 0),
         antipode=antipode,
     )
 

@@ -86,11 +86,15 @@ class GeneratorTable:
             raise ValueError("generator table needs 4 rows of two length-4 vectors")
 
 
+def _check_dim(H: HopfStructure, op: TriangleOp) -> None:
+    if op.dim != H.dim:
+        raise ValueError("operation dimension does not match the Hopf structure")
+
+
 def apply(H: HopfStructure, op: TriangleOp, x, y) -> tuple:
     """Bilinear extension of the table."""
+    _check_dim(H, op)
     n = H.dim
-    if op.dim != n:
-        raise ValueError("operation dimension does not match the Hopf structure")
     if len(x) != n or len(y) != n:
         raise ValueError("element lengths do not match dim")
     return tuple(_bilinear(op.table, x, y, x[0] * 0))
@@ -100,6 +104,7 @@ def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """The operation must be a coalgebra homomorphism: the coproduct of
     ``x |> y`` equals ``(x1 |> y1) (x) (x2 |> y2)`` and its counit equals
     ``eps(x) eps(y)``, for all basis pairs."""
+    _check_dim(H, op)
     n = H.dim
     rb = _ReportBuilder()
     zero = op.table[0][0][0] * 0
@@ -118,6 +123,7 @@ def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 
 def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y z) = (x1 |> y)(x2 |> z)`` on all basis triples."""
+    _check_dim(H, op)
     n = H.dim
     rb = _ReportBuilder()
     T = op.table
@@ -133,6 +139,7 @@ def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 
 def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y |> z) = (x1 (x2 |> y)) |> z`` on all basis triples."""
+    _check_dim(H, op)
     n = H.dim
     rb = _ReportBuilder()
     T = op.table
@@ -154,6 +161,7 @@ def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``1 |> x = x`` on all basis elements (the extra axiom of the weak,
     as opposed to relaxed, setting)."""
+    _check_dim(H, op)
     rb = _ReportBuilder()
     zero = op.table[0][0][0] * 0
     for j in range(H.dim):
@@ -165,8 +173,7 @@ def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> 1 = eps(x) 1``; a consequence of the other axioms, checked as
     its own property."""
-    if op.dim != H.dim:
-        raise ValueError("operation dimension does not match the Hopf structure")
+    _check_dim(H, op)
     rb = _ReportBuilder()
     zero = op.table[0][0][0] * 0
     for i in range(H.dim):

@@ -15,7 +15,9 @@ from posthopf.triangleop import family_table, op_to_json_dict
 # Byte-exact outputs of the commands below, recorded once from the CLI with
 # the same arguments (stdout in ``*.txt``, the --json/--out payload in
 # ``*.json``).  A refactor must reproduce them; they are never regenerated to
-# make a change pass.
+# make a change pass.  The one exception is the ``stats`` object of an
+# enumerate payload, which counts the search's work: a change to the search
+# re-records those counts, and nothing else, and says so.
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -146,6 +146,18 @@ def test_kernel_examples():
     ]
 
 
+def test_rref_of_int_matrix_is_exact():
+    # an int pivot is read as a rational: int / int would give a float
+    red, pivots = rref([[2, 1, 0], [0, 3, 1]])
+    assert red == [F(1, 0, Fraction(-1, 6)), F(0, 1, Fraction(1, 3))]
+    assert pivots == [0, 1]
+    assert all(type(x) is Fraction for row in red for x in row)
+    ker = kernel_basis([[2, 1, 0], [0, 3, 1]])
+    assert ker == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
+    assert all(type(x) is Fraction for v in ker for x in v)
+    assert all(type(x) is Fraction for v in kernel_basis([[0, 0], [0, 0]]) for x in v)
+
+
 def _random_matrix(rng, rows, cols):
     return [
         [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]

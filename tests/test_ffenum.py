@@ -1,13 +1,17 @@
+import functools
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from posthopf import ffenum
 from posthopf.classifier import builtin_families
 from posthopf.exactmath import FpElement
 from posthopf.ffenum import (
     EnumerationTask,
+    _leaf,
     _system_terms,
     compare_with_families,
     enumerate_structures,
@@ -15,7 +19,14 @@ from posthopf.ffenum import (
     row_candidates,
 )
 from posthopf.hopfcore import sweedler_h4
-from posthopf.triangleop import check_counit_absorption, check_unitality, op_serial
+from posthopf.triangleop import (
+    GeneratorTable,
+    axiom_suite,
+    check_counit_absorption,
+    check_unitality,
+    extend_generators,
+    op_serial,
+)
 
 ONE, G, V, GV = 0, 1, 2, 3
 
@@ -31,7 +42,7 @@ def test_task_validation():
     with pytest.raises(ValueError):
         EnumerationTask(prime=9)
     with pytest.raises(ValueError):
-        EnumerationTask(prime=17)
+        EnumerationTask(prime=37)
     with pytest.raises(ValueError):
         EnumerationTask(prime=5, mode="strict")
 
@@ -138,6 +149,132 @@ def test_row_candidates_match_brute_force_p5(monkeypatch):
         assert cands == brute_force_candidates(5, "relaxed", row, assigned)
 
 
+def evaluate(terms, rows, p):
+    """An unreduced term list of :func:`_system_terms` at the full point
+    ``rows``, mod p."""
+    return sum(c * math.prod(rows[s >> 3][s & 7] ** e for s, e in mono) for c, mono in terms) % p
+
+
+def search_record(monkeypatch, task):
+    """The report, every prefix (rows 0..r) whose fold leaves a dead depth,
+    with those depths, and the candidate count of every row scan."""
+    pruned, prefix, scans = [], [], []
+    fold, scan = ffenum._fold, ffenum.row_candidates
+
+    def recording_fold(p, system, row, values):
+        folded = fold(p, system, row, values)
+        if row >= 0:
+            # the search folds depth-first, so rows 0..row-1 are the ones folded last
+            del prefix[row:]
+            prefix.append(values)
+            dead = [depth for depth, constraints in folded.items() if constraints is None]
+            if dead:
+                pruned.append((tuple(prefix), dead))
+        return folded
+
+    def recording_scan(*args):
+        cands = scan(*args)
+        scans.append(len(cands))
+        return cands
+
+    with monkeypatch.context() as m:
+        m.setattr(ffenum, "_fold", recording_fold)
+        m.setattr(ffenum, "row_candidates", recording_scan)
+        report = enumerate_structures(task)
+    return report, pruned, scans
+
+
+def test_fold_pruning_is_sound(monkeypatch):
+    # at every prefix the search prunes at the fold, some constraint of a
+    # dead depth takes one and the same nonzero value at every completion of
+    # the remaining rows, so no completion of that prefix is lost
+    rng = random.Random(17)
+    for p in (3, 5):
+        for mode in ("relaxed", "weak"):
+            report, pruned, scans = search_record(monkeypatch, EnumerationTask(prime=p, mode=mode))
+            assert pruned
+            assert report.stats["row_scans"] == len(scans)
+            assert report.stats["prefix_pruned"] == len(pruned) + scans.count(0)
+            for prefix, dead in pruned:
+                completions = [
+                    prefix + tuple(
+                        tuple(rng.randrange(p) for _ in range(8)) for _ in range(4 - len(prefix))
+                    )
+                    for _ in range(6)
+                ]
+                assert any(
+                    len(values) == 1 and 0 not in values
+                    for depth in dead
+                    for terms in _system_terms(mode)[depth]
+                    for values in [{evaluate(terms, rows, p) for rows in completions}]
+                )
+
+
+@functools.lru_cache(maxsize=None)
+def relaxed_rows(p):
+    """The generator rows of every relaxed table over F_p.  They are read off
+    the family evaluations, the set the enumeration must find, so that the
+    draws below do not depend on the leaf check under test."""
+    out = []
+    for serial in sorted(family_evaluations(builtin_families(), p)):
+        cells = [tuple(map(int, cell.split(","))) for cell in serial.split("|")[1].split(";")]
+        out.append(tuple(cells[4 * i + 1] + cells[4 * i + 2] for i in range(4)))
+    return out
+
+
+@st.composite
+def leaf_rows(draw):
+    """(p, mode, rows): uniformly random rows, or the rows of an enumerated
+    relaxed table with up to two entries redrawn, so that both passing and
+    failing tables occur, in weak mode also tables failing only unitality.
+    The table is picked uniformly, since most of them lift to nonzero
+    integer residuals that p divides."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    mode = draw(st.sampled_from(("relaxed", "weak")))
+    rng = draw(st.randoms(use_true_random=False))
+    if rng.random() < 0.3:
+        rows = [[rng.randrange(p) for _ in range(8)] for _ in range(4)]
+    else:
+        rows = [list(r) for r in rng.choice(relaxed_rows(p))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows[rng.randrange(4)][rng.randrange(8)] = rng.randrange(p)
+    return p, mode, {i: tuple(r) for i, r in enumerate(rows)}
+
+
+IDENTITY_ON_GENERATORS = (0, 1, 0, 0, 0, 0, 1, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf_rows())
+# a weak table that passes, and a relaxed one that fails (g |> g = -g)
+@example((3, "weak", {0: IDENTITY_ON_GENERATORS, 1: IDENTITY_ON_GENERATORS, 2: (0,) * 8, 3: (0,) * 8}))
+@example((5, "relaxed", {0: IDENTITY_ON_GENERATORS, 1: (0, 4, 0, 0, 0, 0, 1, 0), 2: (0,) * 8, 3: (0,) * 8}))
+def test_integer_lift_agrees_with_fp_suite(case):
+    # the leaf check on the integer lift gives the F_p suite's verdict, and
+    # the lifted completion reduced mod p is the F_p completion
+    p, mode, rows = case
+    h4 = sweedler_h4()
+    fp_op = extend_generators(
+        h4,
+        GeneratorTable(
+            tuple(
+                (tuple(FpElement(x, p) for x in rows[i][:4]), tuple(FpElement(x, p) for x in rows[i][4:]))
+                for i in range(4)
+            )
+        ),
+    )
+    lifted = extend_generators(h4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4))))
+    assert all(type(x) is int for row in lifted.table for cell in row for x in cell)
+    assert [[[x % p for x in cell] for cell in row] for row in lifted.table] == [
+        [[x.value for x in cell] for cell in row] for row in fp_op.table
+    ]
+    fp_passed = all(r.passed for r in axiom_suite(h4, fp_op, mode).values())
+    leaf = _leaf(h4, p, mode, rows)
+    assert (leaf is not None) == fp_passed
+    if leaf is not None:
+        assert op_serial(leaf) == op_serial(fp_op)
+
+
 def test_enumeration_matches_family_evaluations_p3(enum_p3):
     fams = builtin_families()
     diff = compare_with_families(enum_p3, fams)
@@ -152,6 +289,18 @@ def test_enumeration_matches_family_evaluations_p5(enum_p5):
     diff = compare_with_families(enum_p5, fams)
     assert diff.empty
     assert enum_p5.count == diff.expected_count == len(family_evaluations(fams, 5)) == 14
+
+
+@pytest.mark.parametrize("p", [17, 31])
+def test_enumeration_matches_family_evaluations_past_13(p):
+    h4 = sweedler_h4()
+    fams = builtin_families()
+    weak_fams = {label: op for label, op in fams.items() if check_unitality(h4, op).passed}
+    for mode, families, count in (("relaxed", fams, 2 * p + 4), ("weak", weak_fams, 2 * p + 1)):
+        report = enumerate_structures(EnumerationTask(prime=p, mode=mode))
+        diff = compare_with_families(report, families)
+        assert diff.empty
+        assert report.count == diff.expected_count == count
 
 
 def test_weak_enumeration_is_unital_subset(enum_p5, enum_p5_weak):

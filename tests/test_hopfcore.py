@@ -168,6 +168,14 @@ def test_skew_primitives_dimensions_and_spans(h4):
     assert p1g == [(-1, 1, 0, 0), (0, 0, 0, 1)]
 
 
+def test_skew_primitives_of_int_anchors_are_exact(h4):
+    # the anchors are int basis vectors, so the kernel is taken of an int
+    # matrix; its coordinates must be Fractions, not floats
+    prims = skew_primitives(h4, e(h4, ONE), e(h4, G))
+    assert prims == [(-1, 1, 0, 0), (0, 0, 0, 1)]
+    assert all(type(x) is Fraction for v in prims for x in v)
+
+
 def test_skew_primitives_rejects_non_group_like(h4):
     with pytest.raises(ValueError):
         skew_primitives(h4, e(h4, V), e(h4, ONE))
@@ -207,6 +215,24 @@ def test_bilinearity_randomized(h4):
             alpha * x + y for x, y in zip(comultiply(h4, a), comultiply(h4, b))
         )
         assert dl == dr
+
+
+def sweedler_constants(H):
+    return [
+        *H.unit,
+        *H.counit,
+        *(c for tensor in (H.mul, H.comul) for plane in tensor for row in plane for c in row),
+        *(c for row in H.antipode for c in row),
+    ]
+
+
+def test_sweedler_constants_are_ints(h4):
+    assert all(type(c) is int for c in sweedler_constants(h4))
+    assert all(type(x) is int for i in range(h4.dim) for x in e(h4, i))
+    # a JSON payload still reads as Fractions, and compares equal
+    parsed = hopf_from_json(hopf_to_json(h4))
+    assert all(type(c) is Fraction for c in sweedler_constants(parsed))
+    assert parsed == h4
 
 
 def test_json_roundtrip_byte_identical(h4):

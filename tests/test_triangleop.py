@@ -175,8 +175,24 @@ def test_counit_absorption_examples(h4):
     assert g1 == tuple(Poly.constant(reg, c) for c in (1, 0, 0, 0))
     for label in FAMILY_LABELS:
         assert check_counit_absorption(h4, family_table(label)).passed
-    with pytest.raises(ValueError):
-        check_counit_absorption(h4, TriangleOp(2, (((1, 0), (0, 1)),) * 2))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_coalgebra_hom,
+        check_distributivity,
+        check_weighted_assoc,
+        check_unitality,
+        check_counit_absorption,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_checks_reject_dimension_mismatch(h4, check):
+    # a 2-dimensional table against the 4-dimensional algebra is bad input,
+    # never an IndexError from indexing past the table
+    with pytest.raises(ValueError, match="dimension"):
+        check(h4, TriangleOp(2, (((1, 0), (0, 1)),) * 2))
 
 
 @pytest.mark.parametrize("cell, entry", [((1, 2, 2), "2"), ((0, 0, 0), "0")])
