@@ -8,11 +8,12 @@ prime-field elements, polynomials), so the same bilinear machinery serves
 numeric, finite-field and symbolic computations.
 
 The constants of :func:`sweedler_h4` are all 0 or +-1 and are stored as
-``int``, as are the coordinates of :func:`basis_element`: products of int
-vectors then stay in int arithmetic, which the F_p oracle's integer leaf
-check relies on, and no product of a table entry goes through ``Fraction``.
-A structure read from a JSON payload holds ``Fraction`` constants; the two
-compare and hash equal, and both serialize to the same strings.
+``int``, as are the coordinates of :func:`basis_element`, so contractions
+of int vectors stay in int arithmetic; the F_p oracle's integer leaf check
+relies on that, where ``Fraction`` constants would send every product
+through ``Fraction``.  A structure read from a JSON payload holds
+``Fraction`` constants; the two compare and hash equal, and both serialize
+to the same strings.
 
 That machinery is three private kernels, which ``triangleop`` shares:
 ``_bilinear`` contracts a structure tensor with two coefficient vectors
