@@ -435,15 +435,16 @@ def main(argv=None) -> int:
         return ERROR if exc.code else PASS
     try:
         report: RunReport = args.func(args)
+        # written before stdout, so an unwritable path prints only the error
+        json_out = getattr(args, "json_out", None)
+        if json_out:
+            Path(json_out).write_text(
+                json.dumps(report.json_payload, indent=2) + "\n", "utf-8"
+            )
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     sys.stdout.write(report.human_text)
-    json_out = getattr(args, "json_out", None)
-    if json_out:
-        Path(json_out).write_text(
-            json.dumps(report.json_payload, indent=2) + "\n", "utf-8"
-        )
     return report.exit_code
 
 

@@ -201,6 +201,35 @@ def _quotient(c, lead):
     return _num(c / lead)
 
 
+class _Quotients(dict):
+    """``c -> _quotient(c, lead)`` for one ``lead``, filled on a miss and
+    emptied when full, so ``map(memo.__getitem__, coeffs)`` divides a
+    coefficient column with no Python call per hit."""
+
+    __slots__ = ("lead",)
+
+    def __init__(self, lead):
+        super().__init__()
+        self.lead = lead
+
+    def __missing__(self, c):
+        if len(self) >= _QUOTIENTS_PER_LEAD:
+            self.clear()
+        q = self[c] = _quotient(c, self.lead)
+        return q
+
+
+# one classify pass (the four jobs in one process) divides by 17 distinct
+# leads and meets at most 91 distinct coefficients under one lead, 674
+# pairs in all, so these bounds hold them all
+_QUOTIENTS_PER_LEAD = 1 << 10
+
+
+@lru_cache(maxsize=1 << 7)
+def _quotients(lead) -> _Quotients:
+    return _Quotients(lead)
+
+
 class Poly:
     """Immutable sparse multivariate polynomial over the rationals.
 
@@ -355,18 +384,29 @@ class Poly:
         self._check(val)
         powers = [None, val]
         shift = _FIELD_BITS * (vid + 1)
-        out: dict = {}
-        for mono, c in self._terms.items():
+        terms = self._terms
+        # the terms free of the variable are distinct monomials: they stay as
+        # they are, and the substituted terms accumulate onto them
+        out = dict(terms)
+        pop = out.pop
+        bound = [(m, pop(m)) for m in terms if (m >> shift) & _FIELD]
+        for mono, c in bound:
             e = (mono >> shift) & _FIELD
-            if not e:
-                _accumulate(out, mono, c)
-                continue
             rest = mono - (e << shift) - e
             for m2, c2 in _nth_power(powers, e)._terms.items():
                 m = rest + m2
                 if m & _OVER:
                     raise _degree_error()
-                _accumulate(out, m, c * c2)
+                c2 *= c
+                got = out.get(m)
+                if got is not None:
+                    c2 += got
+                    if not c2:
+                        del out[m]
+                        continue
+                if type(c2) is not int and c2.denominator == 1:
+                    c2 = c2.numerator
+                out[m] = c2
         return _poly(self.registry, out)
 
     def compose(self, mapping: dict[int, "Poly"], registry: VarRegistry) -> "Poly":
@@ -470,7 +510,8 @@ class Poly:
     def canon_key(self) -> tuple:
         """Hashable, totally ordered canonical key of the monic
         normalization: equal keys mean equality up to a nonzero rational
-        factor.  Used to deduplicate and order constraint equations."""
+        factor.  Used to deduplicate and order constraint equations.  The
+        quotients by the leading coefficient come from its memo."""
         if self._canon is None:
             terms = self._terms
             if not terms:
@@ -481,10 +522,9 @@ class Poly:
                 lead = items[0][1]
                 if lead == 1:
                     self._canon = tuple(items)
-                elif lead == -1:
-                    self._canon = tuple((mk, -c) for mk, c in items)
                 else:
-                    self._canon = tuple((mk, _quotient(c, lead)) for mk, c in items)
+                    monos, coeffs = zip(*items)
+                    self._canon = tuple(zip(monos, map(_quotients(lead).__getitem__, coeffs)))
         return self._canon
 
     def linear_candidates(self) -> tuple:
@@ -656,16 +696,27 @@ def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list
         for mono, c in p._terms.items():
             image = mono_cache.get(mono)
             if image is None:
+                items = _mono_items(mono)
                 piece = None
-                for v, e in _mono_items(mono):
+                for v, e in items:
                     powers = pow_cache.get(v)
                     if powers is None:
                         if v not in mapping:
                             raise ValueError(f"no substitution for variable id {v}")
                         powers = pow_cache[v] = [None, mapping[v]]
+                    if not powers[1]._terms:
+                        # a zero factor: the image is 0 whatever the rest
+                        # maps to, once every variable is known to be mapped
+                        missing = next((w for w, _ in items if w not in mapping), None)
+                        if missing is not None:
+                            raise ValueError(f"no substitution for variable id {missing}")
+                        image = ()
+                        break
                     factor = powers[e] if e < len(powers) else _nth_power(powers, e)
                     piece = factor if piece is None else piece * factor
-                image = mono_cache[mono] = tuple(piece._terms.items())
+                else:
+                    image = tuple(piece._terms.items())
+                mono_cache[mono] = image
             for m2, c2 in image:
                 _accumulate(out, m2, c * c2)
         results.append(_poly(registry, out))

@@ -207,16 +207,17 @@ def solve(
         eqs, assign, nonzero, watch, depth, trace = stack.pop()
         while True:
             # cancel nonzero variables out of equations they divide
-            changed = {}
-            for i, eq in enumerate(eqs):
-                while True:
-                    hit = next((v for v in eq.content_vars() if v in nonzero), None)
-                    if hit is None:
-                        break
-                    eq = eq.divide_once_by(hit)
-                    changed[i] = eq
-            if changed:
-                eqs = _refile(eqs, changed)
+            if nonzero:
+                changed = {}
+                for i, eq in enumerate(eqs):
+                    while True:
+                        hit = next((v for v in eq.content_vars() if v in nonzero), None)
+                        if hit is None:
+                            break
+                        eq = eq.divide_once_by(hit)
+                        changed[i] = eq
+                if changed:
+                    eqs = _refile(eqs, changed)
 
             # (a) dead branches: nonzero constants, contradicted side
             # conditions, or (restricted mode) equations with no solvable

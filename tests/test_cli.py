@@ -402,6 +402,20 @@ def test_classify_limits_exceeded(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("families",), ("verify", "--hopf", "builtin:h4"), ("classify", "--max-depth", "0")],
+    ids=["families", "verify", "classify"],
+)
+def test_unwritable_json_path_is_an_input_error(tmp_path, capsys, argv):
+    json_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, *argv, "--json", str(json_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(json_path) in err
+    assert not json_path.exists()
+
+
 def test_json_outputs_roundtrip_through_library(tmp_path, capsys):
     from posthopf.triangleop import op_from_json_dict
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from posthopf.classifier import _cached_system
+from posthopf import multipoly
 from posthopf.exactmath import FpElement
 from posthopf.multipoly import (
     MAX_DEGREE,
@@ -330,6 +332,34 @@ def test_canon_key_divides_exactly(reg):
         assert_reference_key(p)
         # rational multiples share the key
         assert (p * Fraction(-5, 7)).canon_key() == key
+
+
+# leads shared by many polys, so every key after the first of a lead reads
+# quotients that earlier keys (and earlier examples) put in the memo
+SHARED_LEADS = (2, -2, 4, -4, Fraction(3, 2), 1, -1)
+
+
+@given(
+    st.lists(st.tuples(polys(_REG), st.sampled_from(SHARED_LEADS)), min_size=1, max_size=8),
+    st.sampled_from((2, multipoly._QUOTIENTS_PER_LEAD)),
+)
+@settings(max_examples=150, deadline=None)
+def test_memoized_canon_keys_match_the_reference(cases, per_lead):
+    # per_lead 2 empties a lead's memo on nearly every miss
+    with mock.patch.object(multipoly, "_QUOTIENTS_PER_LEAD", per_lead):
+        for p, lead in cases:
+            if p.is_zero():
+                continue
+            p = p * (Fraction(lead) / p.terms()[0][1])
+            assert p.terms()[0][1] == lead
+            key = p.canon_key()
+            assert_reference_key(p)
+            assert all(stored_form(c) for _mk, c in key), key
+            # a fresh poly with the same terms keys again, from the memo
+            assert Poly(_REG, dict(p.terms())).canon_key() == key
+            # rational multiples share the key
+            for scale in (Fraction(-5, 7), 3, Fraction(1, 4)):
+                assert (p * scale).canon_key() == key
 
 
 def test_constructors_keep_ints(reg):

@@ -1,13 +1,23 @@
-"""The branch solver's equation store, and the solver's completeness,
-soundness and disjointness on small systems other than the Sweedler one."""
+"""The branch solver's equation store, its re-verification of resolved
+branches, and the solver's completeness, soundness and disjointness on small
+systems other than the Sweedler one."""
 
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posthopf.multipoly import Poly, VarRegistry, parse_poly
-from posthopf.solver import Constraint, ConstraintSystem, _prepare, _refile, solve
+from posthopf.multipoly import Poly, VarRegistry, compose_many, parse_poly
+from posthopf.solver import (
+    Constraint,
+    ConstraintSystem,
+    SolverVerificationError,
+    _finalize,
+    _prepare,
+    _refile,
+    solve,
+)
 
 
 def reference_prepare(equations) -> list[Poly]:
@@ -117,6 +127,58 @@ def test_store_after_any_replacement(eqs, data):
     )
     replaced = [changed.get(i, eq) for i, eq in enumerate(store)]
     assert _refile(store, changed) == reference_prepare(replaced)
+
+
+# -- re-verification -----------------------------------------------------------------
+
+# u, v, w are substituted; s and t appear only in their images
+VREG = VarRegistry()
+U, V, W, S, T = (VREG.var(name) for name in "uvwst")
+source_polys = st.lists(
+    st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from([1, U, V, W, U * V, U * U * W, V * W * W, U * V * W]),
+    ),
+    max_size=5,
+).map(lambda terms: sum((c * m for c, m in terms), Poly.zero(VREG)))
+images = st.sampled_from([0, 1, -2, S, S - T, S * T + 1, Fraction(1, 2) * T]).map(
+    lambda value: value + Poly.zero(VREG)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(source_polys, min_size=1, max_size=4), st.tuples(images, images, images))
+def test_compose_many_with_zero_images_is_substitution(polys, values):
+    assume(any(value.is_zero() for value in values))
+    mapping = {VREG.id_of(name): value for name, value in zip("uvw", values)}
+    for p, got in zip(polys, compose_many(polys, mapping, VREG)):
+        want = p
+        for vid, value in mapping.items():
+            want = want.substitute(vid, value)
+        assert got == want
+
+
+def test_compose_many_still_needs_every_variable_mapped():
+    # u maps to zero, so u*v has the empty image, but v has no image at all
+    with pytest.raises(ValueError, match="no substitution"):
+        compose_many([U * V], {VREG.id_of("u"): Poly.zero(VREG)}, VREG)
+
+
+def test_finalize_reports_a_residual_beside_a_zero_factor():
+    reg = VarRegistry()
+    x, y, z = (reg.var(name) for name in "xyz")
+    zero, one = Poly.zero(reg), Poly.constant(reg, 1)
+    xid, yid, zid = (reg.id_of(name) for name in "xyz")
+    # the residual's term comes after the zero product, and before it
+    for eq in (x * y + z, z + x * y):
+        system = ConstraintSystem(reg, [Constraint(eq, "toy", (0,))], "toy")
+        # x*y has the empty image under either zero, and z := 0 solves eq
+        for assign in ({xid: zero, zid: zero}, {yid: zero, zid: zero}):
+            assert _finalize(system, assign, (), 3).status == "resolved"
+        # z := 1 leaves the residual 1 next to the zero-mapped factor
+        for assign in ({xid: zero, zid: one}, {yid: zero, zid: one}):
+            with pytest.raises(SolverVerificationError, match="toy@0: residual 1"):
+                _finalize(system, assign, (), 3)
 
 
 # -- completeness ---------------------------------------------------------------------
