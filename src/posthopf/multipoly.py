@@ -376,8 +376,9 @@ class Poly:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, vid: int, value) -> "Poly":
-        """Replace every occurrence of one variable; the result has degree 0
-        in it.  ``value`` may be a Poly over the same registry or a number."""
+        """Replace every occurrence of one variable; unless ``value`` holds
+        the variable, the result has degree 0 in it.  ``value`` may be a Poly
+        over the same registry or a number."""
         if vid not in self.support:
             return self
         val = value if isinstance(value, Poly) else Poly.constant(self.registry, value)

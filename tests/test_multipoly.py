@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posthopf.classifier import _cached_system
 from posthopf import multipoly
+from posthopf.classifier import _cached_system
 from posthopf.exactmath import FpElement
 from posthopf.multipoly import (
     MAX_DEGREE,
