@@ -213,11 +213,13 @@ def _one_like(x):
     return Fraction(1)
 
 
-def rref(matrix):
+def rref(matrix, modulus: int | None = None):
     """Reduced row echelon form.
 
     Returns ``(reduced_rows, pivot_columns)``; the input is not modified.
     The result is the unique RREF, so it is deterministic across runs.
+    With a prime ``modulus`` p and entries that are ints in 0..p-1, the
+    result is the RREF over F_p in such ints, with no field elements built.
     """
     rows = [list(r) for r in matrix]
     nr = len(rows)
@@ -234,13 +236,19 @@ def rref(matrix):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r][c]
-        if isinstance(lead, int):  # int / int would be a float
-            lead = Fraction(lead)
-        rows[r] = [x / lead for x in rows[r]]
+        if modulus:
+            lead = pow(lead, -1, modulus)
+            rows[r] = [x * lead % modulus for x in rows[r]]
+        else:
+            if isinstance(lead, int):  # int / int would be a float
+                lead = Fraction(lead)
+            rows[r] = [x / lead for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if modulus:
+                    rows[i] = [x % modulus for x in rows[i]]
         pivots.append(c)
         r += 1
     return rows, pivots

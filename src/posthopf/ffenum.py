@@ -13,18 +13,18 @@ The search runs over the 32 generator unknowns, not all 64 coefficients: the
 product rule forces the remaining columns, the same completion the
 classifier uses.
 
-The constraints are integer term lists over 32 slots (``8*row + k``, read
-off the classifier's unknown table), reduced mod p once per search.  Each
-chosen row is then folded (substituted, mod p) into the constraints of
-every deeper row once, and the folded system is carried down the
-recursion, so all children of a prefix share that work.  A depth whose
-constraints include one folded to a nonzero constant is dead; a prefix
-with a dead depth is pruned at once, its next row neither scanned nor
-descended into, since no later row can change a constant.  A row's
-candidates come from its folded constraints: those linear in its eight
-slots are row-reduced over F_p with the two counit pins, and a small
-affine solution space is enumerated and filtered by the rest; a large one
-is scanned in two counit-pinned halves.
+The constraints are integer term lists over interned monomials in 32
+slots (``8*row + k``, read off the classifier's unknown table); a search
+reduces only row 0's mod p up front.  Each chosen row is then folded
+(substituted, mod p) into the constraints of every deeper row once, and
+the folded system is carried down the recursion, so all children of a
+prefix share that work.  A depth whose constraints include one folded to
+a nonzero constant is dead; a prefix with a dead depth is pruned at once,
+its next row neither scanned nor descended into, since no later row can
+change a constant.  A row's candidates come from its folded constraints:
+those linear in its eight slots are row-reduced over F_p with the two
+counit pins, and a small affine solution space is enumerated and filtered
+by the rest; a large one is scanned in two counit-pinned halves.
 
 The re-check of a completed table runs on its integer lift: the chosen
 residues (ints in 0..p-1) are completed and checked in int arithmetic, with
@@ -43,12 +43,13 @@ full axiom suite over F_p.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classifier import _cached_system
+from . import classifier
 from .exactmath import FpElement, is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
@@ -97,17 +98,42 @@ class EnumerationReport:
     stats: dict
 
 
-# -- the reduced symbolic system -----------------------------------------------
+# -- the constraint system over interned monomials --------------------------------
+
+# Monomials ((slot, exp), ...) by ascending slot are interned as ints, 0 the
+# monomial 1.  An id's split is (row of its first slot, local id of that row's
+# part, id of the rest); _LOCALS maps each part, as a local monomial
+# ((slot & 7, exp), ...), to (local id, mask of its slots), alike in every row.
+_MONOS: list[tuple] = [()]
+_SPLITS: list[tuple] = [(-1, 0, 0)]
+_LOCALS: dict[tuple, tuple] = {}
+
+
+@lru_cache(maxsize=None)
+def _intern(mono: tuple) -> int:
+    if not mono:
+        return 0
+    row = mono[0][0] >> 3
+    k = sum(1 for s, _e in mono if s >> 3 == row)
+    local = tuple((s & 7, e) for s, e in mono[:k])
+    lid = _LOCALS.setdefault(local, (len(_LOCALS), sum(1 << s for s, _e in local)))[0]
+    _SPLITS.append((row, lid, _intern(mono[k:])))
+    _MONOS.append(mono)
+    return len(_MONOS) - 1
+
 
 @lru_cache(maxsize=None)
 def _system_terms(mode: str):
     """Constraints of the generator parameterization as integer term lists
-    ``[(coeff, ((slot, exp), ...)), ...]``, grouped by depth (the highest row
-    occurring in the support).  The unknown of ``row |> g`` coordinate k is
-    slot ``8*row + k`` and that of ``row |> v`` slot ``8*row + 4 + k``, read
-    off the unknown table, so ``slot >> 3`` is the row and ``slot & 7`` the
-    local slot, the place in that row's candidate tuple."""
-    op, _reg, system = _cached_system(mode, "generator32")
+    ``[(coeff, mono id), ...]``, grouped by depth (the highest row occurring
+    in the support), and per depth the ``(constant, gcd of the other
+    coefficients)`` of each constraint with a nonzero constant term.  The
+    unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
+    ``row |> v`` slot ``8*row + 4 + k``, read off the unknown table, so
+    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
+    that row's candidate tuple."""
+    h4 = sweedler_h4()
+    op, _reg = classifier.build_unknown_op(h4, "generator32")
     slot_of = {
         unknown.support[0]: 8 * row + 4 * half + k
         for row in range(4)
@@ -115,18 +141,33 @@ def _system_terms(mode: str):
         for k, unknown in enumerate(op.table[row][1 + half])
     }
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
-    for constraint in system.equations:
+    constants: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
+    for constraint in classifier.generate_constraints(h4, op, mode).equations:
         terms = []
         for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
-            # slot order puts a row's unknowns first once the earlier rows fold;
-            # where the numbering agrees, the classifier's shared tuple is kept
-            slot_mono = tuple(sorted((slot_of[v], e) for v, e in mono))
-            terms.append((int(coeff), mono if slot_mono == mono else slot_mono))
-        depth = max((mono[-1][0] >> 3 for _c, mono in terms if mono), default=0)
+            terms.append((int(coeff), _intern(tuple(sorted((slot_of[v], e) for v, e in mono)))))
+        depth = max((_MONOS[mid][-1][0] >> 3 for _c, mid in terms if mid), default=0)
         grouped[depth].append(terms)
-    return grouped
+        constant = sum(c for c, mid in terms if not mid)
+        if constant:
+            constants[depth].append((constant, math.gcd(*(c for c, mid in terms if mid))))
+    return grouped, constants
+
+
+def _root(p: int, mode: str) -> dict:
+    """The system before any row is chosen, in :func:`_fold`'s form: depth 0
+    reduced mod p, the deeper depths unreduced (the fold of row 0 reduces
+    them), and None for a depth with a constraint that is a nonzero constant
+    mod p."""
+    grouped, constants = _system_terms(mode)
+    reduced = ([(c % p, mid) for c, mid in terms if c % p] for terms in grouped[0])
+    root = {**grouped, 0: sorted(filter(None, reduced), key=len)}
+    for depth, pairs in constants.items():
+        if any(g % p == 0 and c % p for c, g in pairs):
+            root[depth] = None
+    return root
 
 
 def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
@@ -135,8 +176,14 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     :func:`_system_terms`, or None for a depth already infeasible).  The
     result holds the depths beyond ``row`` with coefficients reduced mod p
     and vanishing constraints dropped; a depth becomes None as soon as one of
-    its constraints folds to a nonzero constant.  Row -1 substitutes nothing
-    and only reduces."""
+    its constraints folds to a nonzero constant."""
+    # each local monomial's value, 0 at once when one of its slots is 0
+    zeros = sum(1 << k for k, x in enumerate(values) if not x)
+    local = [
+        0 if mask & zeros else math.prod(values[k] ** e for k, e in m) % p
+        for m, (_lid, mask) in _LOCALS.items()
+    ]
+    split = _SPLITS
     folded: dict = {}
     for depth, constraints in system.items():
         if depth <= row:
@@ -147,23 +194,18 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
         out = []
         for terms in constraints:
             acc: dict = {}
-            for coeff, mono in terms:
-                k = 0
-                for s, e in mono:
-                    if s >> 3 != row:
-                        break
-                    coeff *= values[s & 7] ** e
-                    k += 1
-                if k:
-                    coeff %= p
+            for coeff, mid in terms:
+                r, lid, rest = split[mid]
+                if r == row:
+                    coeff = coeff * local[lid] % p
                     if not coeff:
                         continue
-                    mono = mono[k:]
-                acc[mono] = acc.get(mono, 0) + coeff
-            reduced = [(c % p, mono) for mono, c in acc.items() if c % p]
+                    mid = rest
+                acc[mid] = acc.get(mid, 0) + coeff
+            reduced = [(c % p, mid) for mid, c in acc.items() if c % p]
             if not reduced:
                 continue
-            if len(reduced) == 1 and reduced[0][1] == ():
+            if len(reduced) == 1 and not reduced[0][1]:
                 out = None
                 break
             out.append(reduced)
@@ -210,19 +252,18 @@ def _solve_linear(p: int, eps_x: int, linear, nonlinear) -> list[tuple] | None:
                 coeffs[8] = -c
         inv = pow(next(c for c in coeffs if c), -1, p)
         matrix.add(tuple(c * inv % p for c in coeffs))
-    reduced, pivots = rref([[FpElement(x, p) for x in r] for r in sorted(matrix)])
+    reduced, pivots = rref(sorted(matrix), p)
     if pivots[-1] == 8:
         return []
     free = [c for c in range(8) if c not in pivots]
     if len(free) > _MAX_FREE_SLOTS:
         return None
-    pivot_rows = [(pc, [x.value for x in reduced[i]]) for i, pc in enumerate(pivots)]
     candidates = []
     for point in itertools.product(range(p), repeat=len(free)):
         vals = [0] * 8
         for f, x in zip(free, point):
             vals[f] = x
-        for pc, r in pivot_rows:
+        for pc, r in zip(pivots, reduced):
             vals[pc] = (r[8] - sum(r[f] * vals[f] for f in free)) % p
         vals = tuple(vals)
         if all(_eval_compiled(c, vals, p) == 0 for c in nonlinear):
@@ -268,9 +309,10 @@ def row_candidates(
     satisfy every constraint whose support lies within the assigned rows plus
     this one, lexicographically in slots 1-3, 5-7.
 
-    ``system`` is the reduced constraint system with ``assigned_rows``
-    already folded in (see :func:`_fold`); without it the system is reduced
-    and the rows are folded here.  Counit compatibility pins slots 0 and 4.
+    ``system`` is the constraint system with ``assigned_rows`` already
+    folded in (see :func:`_fold`); without it the rows are folded here into
+    the system of :func:`_root`.  Only the scanned depth is decoded to
+    ``((slot, exp), ...)`` monomials.  Counit compatibility pins slots 0 and 4.
     The constraints linear in this row's slots are row-reduced together with
     those pins; when at most ``_MAX_FREE_SLOTS`` slots stay free, the affine
     solution space is enumerated and filtered by the nonlinear constraints.
@@ -280,12 +322,12 @@ def row_candidates(
         raise ValueError("row enumeration is specific to the Sweedler algebra")
     p = task.prime
     if system is None:
-        system = _fold(p, _system_terms(task.mode), -1, ())
+        system = _root(p, task.mode)
         for r in range(row_index):
             system = _fold(p, system, r, assigned_rows[r])
-    constraints = system[row_index]
-    if constraints is None:
+    if system[row_index] is None:
         return []
+    constraints = [[(c, _MONOS[mid]) for c, mid in terms] for terms in system[row_index]]
     eps_x = int(H4.counit[row_index])
     linear, nonlinear = [], []
     for c in constraints:
@@ -350,7 +392,7 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
             descend(row + 1, assigned, _fold(p, system, row, cand))
         del assigned[row]
 
-    descend(0, {}, _fold(p, _system_terms(task.mode), -1, ()))
+    descend(0, {}, _root(p, task.mode))
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

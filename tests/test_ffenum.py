@@ -1,17 +1,24 @@
+import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from posthopf import ffenum
+from posthopf import classifier, ffenum
 from posthopf.classifier import builtin_families
-from posthopf.exactmath import FpElement
+from posthopf.exactmath import FpElement, rref
 from posthopf.ffenum import (
     EnumerationTask,
+    _fold,
     _leaf,
+    _root,
     _system_terms,
     compare_with_families,
     enumerate_structures,
@@ -19,6 +26,7 @@ from posthopf.ffenum import (
     row_candidates,
 )
 from posthopf.hopfcore import sweedler_h4
+from posthopf.solver import Constraint
 from posthopf.triangleop import (
     GeneratorTable,
     axiom_suite,
@@ -29,6 +37,7 @@ from posthopf.triangleop import (
 )
 
 ONE, G, V, GV = 0, 1, 2, 3
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -83,21 +92,45 @@ def test_row2_candidates_respect_primitive_spaces(h4):
     assert {c[4:] for c in cands} == {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)}
 
 
+def decode(terms):
+    """A term list over monomial ids with each monomial decoded through the
+    id table to ``((slot, exp), ...)``."""
+    return [(c, ffenum._MONOS[mid]) for c, mid in terms]
+
+
+@functools.lru_cache(maxsize=None)
+def system(mode):
+    """The unreduced constraints of :func:`_system_terms`, decoded."""
+    grouped, _constants = _system_terms(mode)
+    return {depth: list(map(decode, constraints)) for depth, constraints in grouped.items()}
+
+
 def brute_force_candidates(p, mode, row, assigned):
     """Every point of F_p**8 for row ``row`` at which all depth-``row``
     constraints vanish, evaluated unreduced at the full point (the assigned
     rows plus the candidate), in row_candidates' order: lexicographic in
-    slots 1-3, 5-7.  Slot s is place ``s & 7`` of row ``s >> 3``."""
-    constraints = _system_terms(mode)[row]
-    point = [assigned[s >> 3][s & 7] if s >> 3 < row else 0 for s in range(32)]
-    out = []
-    for cand in itertools.product(range(p), repeat=8):
-        point[8 * row:8 * row + 8] = cand
-        if all(
-            sum(c * math.prod(point[s] ** e for s, e in mono) for c, mono in terms) % p == 0
-            for terms in constraints
-        ):
-            out.append(cand)
+    slots 1-3, 5-7.  Slot s is place ``s & 7`` of row ``s >> 3``.
+
+    Each constraint is evaluated at the assigned rows once, exactly, which
+    leaves an integer polynomial in the row's slots ``x0 .. x7``; the
+    polynomials are compiled into one test, which every point runs."""
+    checks = []
+    for terms in system(mode)[row]:
+        partial = {}
+        for c, mono in terms:
+            factors = []
+            for s, e in mono:
+                if s >> 3 < row:
+                    c *= assigned[s >> 3][s & 7] ** e
+                else:
+                    factors.append(f"x{s & 7}**{e}")
+            key = "*".join(factors) or "1"
+            partial[key] = partial.get(key, 0) + c
+        poly = " + ".join(f"({c})*{key}" for key, c in partial.items() if c)
+        if poly:
+            checks.append(f"({poly}) % {p}")
+    vanish = eval(f"lambda x0, x1, x2, x3, x4, x5, x6, x7: not ({' or '.join(checks) or 0})")
+    out = [cand for cand in itertools.product(range(p), repeat=8) if vanish(*cand)]
     out.sort(key=lambda c: (c[1], c[2], c[3], c[5], c[6], c[7]))
     return out
 
@@ -150,8 +183,8 @@ def test_row_candidates_match_brute_force_p5(monkeypatch):
 
 
 def evaluate(terms, rows, p):
-    """An unreduced term list of :func:`_system_terms` at the full point
-    ``rows``, mod p."""
+    """A decoded term list (see :func:`system`) at the full point ``rows``,
+    mod p."""
     return sum(c * math.prod(rows[s >> 3][s & 7] ** e for s, e in mono) for c, mono in terms) % p
 
 
@@ -205,9 +238,111 @@ def test_fold_pruning_is_sound(monkeypatch):
                 assert any(
                     len(values) == 1 and 0 not in values
                     for depth in dead
-                    for terms in _system_terms(mode)[depth]
+                    for terms in system(mode)[depth]
                     for values in [{evaluate(terms, rows, p) for rows in completions}]
                 )
+
+
+def test_root_dead_depth_prunes_the_search(monkeypatch):
+    # a depth-2 constraint 3 x + 1, x the first coordinate of v |> g, is the
+    # constant 1 mod 3 before any row is chosen: the root is pruned without a
+    # row scan.  Mod 5 the depth stays open.
+    generate = classifier.generate_constraints
+
+    def with_dead_constraint(h, op, mode):
+        system = generate(h, op, mode)
+        dead = Constraint(3 * op.table[V][1][0] + 1, "hand-built", ())
+        return dataclasses.replace(system, equations=[*system.equations, dead])
+
+    with monkeypatch.context() as m:
+        m.setattr(classifier, "generate_constraints", with_dead_constraint)
+        m.setattr(ffenum, "_system_terms", functools.lru_cache(_system_terms.__wrapped__))
+        assert ffenum._system_terms("relaxed")[1][2] == [(1, 3)]
+        assert [depth for depth, c in _root(3, "relaxed").items() if c is None] == [2]
+        report = enumerate_structures(EnumerationTask(prime=3))
+        assert report.stats == {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 1}
+        assert None not in _root(5, "relaxed").values()
+
+
+@st.composite
+def residue_matrices(draw):
+    """(p, rows): up to 12 rows of 9 residues mod p, zeros drawn often, so
+    that inconsistent systems (a pivot in column 8) and systems with more
+    free slots than ``ffenum._MAX_FREE_SLOTS`` both occur."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=9, max_size=9), min_size=1, max_size=12))
+    return p, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_matrices())
+# inconsistent: the pivot of the first row is column 8
+@example((3, [[0, 0, 0, 0, 0, 0, 0, 0, 2], [1, 1, 0, 0, 0, 0, 0, 0, 1]]))
+# the two counit pins alone: six free slots
+@example((5, [[1, 1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0, 0, 0]]))
+@example((7, [[2, 4, 6, 1, 3, 5, 0, 2, 4]] * 3 + [[0] * 9]))
+def test_rref_mod_p_matches_rref_over_fp(case):
+    # the elimination of _solve_linear, on ints mod p
+    p, rows = case
+    reduced, pivots = rref(rows, p)
+    want_rows, want_pivots = rref([[FpElement(x, p) for x in r] for r in rows])
+    assert pivots == want_pivots
+    assert reduced == [[x.value for x in r] for r in want_rows]
+    assert all(type(x) is int and 0 <= x < p for r in reduced for x in r)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.sampled_from(("relaxed", "weak")),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+def test_fold_off_the_search_path(p, mode, last, rng):
+    # rows drawn at random, denser than any the search visits, are folded
+    # through rows 0..last.  At random completions, each folded constraint
+    # takes the value of the unreduced constraint it came from, at the full
+    # point mod p: the nonzero value vectors of a depth agree as multisets
+    # (a constraint dropped as vanishing has the zero vector).  A dead depth
+    # holds a constraint with one and the same nonzero value everywhere.
+    prefix = [tuple(rng.randrange(p) for _ in range(8)) for _ in range(last + 1)]
+    completions = [
+        prefix + [tuple(rng.randrange(p) for _ in range(8)) for _ in range(3 - last)]
+        for _ in range(4)
+    ]
+    folded = _root(p, mode)
+    for row, values in enumerate(prefix):
+        folded = _fold(p, folded, row, values)
+
+    def value_vectors(constraints):
+        return [tuple(evaluate(terms, rows, p) for rows in completions) for terms in constraints]
+
+    for depth in range(last + 1, 4):
+        want = value_vectors(system(mode)[depth])
+        if folded[depth] is None:
+            assert any(len(set(v)) == 1 and v[0] for v in want)
+        else:
+            got = value_vectors(map(decode, folded[depth]))
+            assert sorted(v for v in got if any(v)) == sorted(v for v in want if any(v))
+
+
+def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
+    # the oracle converts generate_constraints' output itself, so a fresh
+    # enumerate run keeps no Poly system alive in the classifier's cache
+    code = (
+        "import sys\n"
+        "from posthopf import classifier, cli\n"
+        "rc = cli.main(['enumerate', '--prime', '3', '--out', sys.argv[1]])\n"
+        "print(rc, classifier._cached_system.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "p3.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "0"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,7 +486,7 @@ def test_compare_diff_directions(enum_p3):
 
 def test_constraint_coefficients_are_integers():
     for mode in ("relaxed", "weak"):
-        grouped = _system_terms(mode)
+        grouped, _constants = _system_terms(mode)
         assert set(grouped) == {0, 1, 2, 3}
         assert all(
             isinstance(c, int) for terms in grouped.values() for t in terms for c, _ in t

@@ -5,7 +5,8 @@ facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
 module level only, so the layering is visible where a module starts.
 Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
-oracle reads its slot map from the unknown table, never from variable names.
+oracle reads its slot map from the unknown table, never from variable names,
+and builds its constraint system itself, never from the classifier's cache.
 """
 
 import ast
@@ -94,8 +95,8 @@ def test_standard_library_only():
 PACKED_FORM = {"_mono_key", "_terms", "_sorted_monos"}
 
 
-def packed_form_uses(tree: ast.Module) -> list[tuple[int, str]]:
-    """Lines and names where a module names part of the packed form."""
+def name_uses(tree: ast.Module, names: set[str]) -> list[tuple[int, str]]:
+    """Lines and names where a module names one of ``names``."""
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -106,7 +107,7 @@ def packed_form_uses(tree: ast.Module) -> list[tuple[int, str]]:
             name = node.name
         else:
             continue
-        if name in PACKED_FORM:
+        if name in names:
             uses.append((node.lineno, name))
     return uses
 
@@ -123,7 +124,7 @@ def test_packed_monomials_stay_in_multipoly():
     assert len(paths) > len(LAYERS)
     for path in paths:
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
-        assert packed_form_uses(tree) == [], path.name
+        assert name_uses(tree, PACKED_FORM) == [], path.name
 
 
 def test_ffenum_reads_no_variable_names():
@@ -137,3 +138,10 @@ def test_ffenum_reads_no_variable_names():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "name_of"
     ]
     assert calls == []
+
+
+def test_ffenum_does_not_share_the_classifier_cache():
+    # the oracle keeps only its own integer form of the system; reading the
+    # classifier's cached Poly system would keep that alive next to it
+    tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
+    assert name_uses(tree, {"_cached_system"}) == []
