@@ -237,8 +237,8 @@ def rref(matrix, modulus: int | None = None):
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r][c]
         if modulus:
-            lead = pow(lead, -1, modulus)
-            rows[r] = [x * lead % modulus for x in rows[r]]
+            inv = pow(lead, -1, modulus)
+            rows[r] = [x * inv % modulus for x in rows[r]]
         else:
             if isinstance(lead, int):  # int / int would be a float
                 lead = Fraction(lead)

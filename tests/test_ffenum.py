@@ -250,9 +250,9 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
     generate = classifier.generate_constraints
 
     def with_dead_constraint(h, op, mode):
-        system = generate(h, op, mode)
+        base = generate(h, op, mode)
         dead = Constraint(3 * op.table[V][1][0] + 1, "hand-built", ())
-        return dataclasses.replace(system, equations=[*system.equations, dead])
+        return dataclasses.replace(base, equations=[*base.equations, dead])
 
     with monkeypatch.context() as m:
         m.setattr(classifier, "generate_constraints", with_dead_constraint)
