@@ -247,6 +247,55 @@ def test_determinism_of_serialized_results(relaxed_result):
     )
 
 
+def case_tree(branches) -> list[dict]:
+    """The case tree of one solve, free of the choice of representative:
+    per branch in order its status, its assignments by variable id, its
+    side conditions, and its remaining equations as monic polynomials in
+    ``canon_key`` order.  Traces and notes name an equation of the store, so
+    they are left out."""
+
+    def monic(eq):
+        return str(eq * (Fraction(1) / Fraction(eq.terms()[0][1])))
+
+    return [
+        {
+            "status": b.status,
+            "assignments": [f"{v} := {p}" for v, p in sorted(b.assignments.items())],
+            "side_conditions": list(b.side_conditions),
+            "remaining": [monic(eq) for eq in sorted(b.remaining, key=Poly.canon_key)],
+        }
+        for b in branches
+    ]
+
+
+# SHA-256 of json.dumps(case_tree(branches), indent=1) for each top-level
+# classify solve; the readable record is about 3 MB over the four jobs
+CASE_TREE_SHA256 = {
+    "relaxed_result": (
+        "466d6ab36bb4e0f52a5221ea808e1303e2b693d1672cf3cce5d083b0489fa9da"
+    ),
+    "full64_result": (
+        "8f93768423aa31fe6eb5fdd9b02678f403097f509a551221c9463ceb95003426"
+    ),
+    "weak_result": (
+        "120cada410e7be33751591b86b026501c0127ec124db2c4fc82c5e6546e56866"
+    ),
+    "weak_full64_result": (
+        "b11c96989d3c0133951eadf1c2f39a18be9dfb7f1af21cced3f87f2cc4931008"
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CASE_TREE_SHA256))
+def test_case_tree_golden(request, fixture):
+    import hashlib
+    import json
+
+    record = json.dumps(case_tree(request.getfixturevalue(fixture).branches), indent=1)
+    digest = hashlib.sha256(record.encode("utf-8")).hexdigest()
+    assert digest == CASE_TREE_SHA256[fixture]
+
+
 # -- subsumption and matching -------------------------------------------------------
 
 def fam_of(op):
