@@ -13,8 +13,9 @@ so two runs serialize identically byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from time import perf_counter
 
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly, VarRegistry, compose_many
@@ -74,6 +75,8 @@ class ClassificationResult:
     families: list[Family]
     maximal_families: list[Family]
     stats: dict
+    # seconds per stage of this call; never part of the JSON report
+    timings: dict = field(default_factory=dict)
 
 
 # -- unknown table construction ---------------------------------------------------
@@ -324,14 +327,24 @@ def classify(
 ) -> ClassificationResult:
     """Classify all operation tables on the Sweedler algebra for the given
     mode, returning every branch plus the deduplicated maximal families."""
+    start = perf_counter()
     op, _reg, system = _cached_system(mode, parameterization)
+    generated = perf_counter()
     branches, stats = solve(system, max_branches=max_branches, max_depth=max_depth)
+    solved = perf_counter()
     families = [
         Family(branch=b, table=branch_table(op, b), free_params=b.free_params)
         for b in branches
         if b.status == "resolved"
     ]
+    tabled = perf_counter()
     maximal = subsume(families)
+    timings = {
+        "generation": generated - start,
+        "solve": solved - generated,
+        "branch_table": tabled - solved,
+        "subsume": perf_counter() - tabled,
+    }
     stats = dict(stats)
     stats["families"] = len(families)
     stats["maximal_families"] = len(maximal)
@@ -343,6 +356,7 @@ def classify(
         families=families,
         maximal_families=maximal,
         stats=stats,
+        timings=timings,
     )
 
 

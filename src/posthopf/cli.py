@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 from .exactmath import parse_rational
 from .hopfcore import (
@@ -253,6 +254,7 @@ def cmd_classify(args) -> RunReport:
     )
     H = sweedler_h4()
     payload = _classifier.classification_to_json_dict(result)
+    matching = perf_counter()
     known = _classifier.builtin_families()
     if args.mode == "weak":
         # the weak-mode targets are the unital subset of the built-in tables
@@ -260,6 +262,10 @@ def cmd_classify(args) -> RunReport:
             label: op for label, op in known.items() if check_unitality(H, op).passed
         }
     match = _classifier.match_families(result.maximal_families, known)
+    if args.profile:
+        timings = dict(result.timings, match=perf_counter() - matching)
+        for stage, seconds in timings.items():
+            print(f"profile: {stage} {seconds:.3f} s", file=sys.stderr)
     payload["match"] = {
         "pairs": [[idx, label] for idx, label in match.pairs],
         "unmatched_families": match.unmatched_families,
@@ -406,6 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--unicode", action="store_true")
     p.add_argument("--json", dest="json_out")
+    p.add_argument(
+        "--profile", action="store_true", help="print each stage's wall time to stderr"
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="brute-force oracle over a prime field")

@@ -530,7 +530,8 @@ class Poly:
 
     def linear_candidates(self) -> tuple:
         """Variables occurring only as a bare degree-1 term, with their
-        coefficients: exactly the eliminations ``v := -rest/coeff``.  Cached."""
+        coefficients, by ascending id: exactly the eliminations
+        ``v := -rest/coeff``.  Cached."""
         if self._lincand is None:
             terms = self._terms
             linear = []
@@ -688,36 +689,38 @@ def parse_poly(registry: VarRegistry, text: str) -> Poly:
 def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list[Poly]:
     """Simultaneous substitution into many polynomials with one shared
     monomial cache; the workhorse behind branch verification, where hundreds
-    of equations reuse the same monomials."""
+    of equations reuse the same monomials.
+
+    A term holding a variable mapped to 0 has the image 0.  One mask test
+    skips it, unless it also holds a variable with no image, which raises as
+    any unmapped variable does."""
+    zero = 0  # the fields of the variables mapped to 0
+    unmapped = ~_FIELD  # every field but the degree's and the mapped variables'
+    for v, value in mapping.items():
+        field = _FIELD << _FIELD_BITS * (v + 1)
+        unmapped &= ~field
+        if not value._terms:
+            zero |= field
     pow_cache: dict[int, list] = {}  # variable id -> [None, x, x^2, ...]
     mono_cache: dict[int, tuple] = {_UNIT: ((_UNIT, 1),)}  # monomial -> its image's terms
     results = []
     for p in polys:
         out: dict = {}
         for mono, c in p._terms.items():
+            if mono & zero and not mono & unmapped:
+                continue
             image = mono_cache.get(mono)
             if image is None:
-                items = _mono_items(mono)
                 piece = None
-                for v, e in items:
+                for v, e in _mono_items(mono):
                     powers = pow_cache.get(v)
                     if powers is None:
                         if v not in mapping:
                             raise ValueError(f"no substitution for variable id {v}")
                         powers = pow_cache[v] = [None, mapping[v]]
-                    if not powers[1]._terms:
-                        # a zero factor: the image is 0 whatever the rest
-                        # maps to, once every variable is known to be mapped
-                        missing = next((w for w, _ in items if w not in mapping), None)
-                        if missing is not None:
-                            raise ValueError(f"no substitution for variable id {missing}")
-                        image = ()
-                        break
                     factor = powers[e] if e < len(powers) else _nth_power(powers, e)
                     piece = factor if piece is None else piece * factor
-                else:
-                    image = tuple(piece._terms.items())
-                mono_cache[mono] = image
+                image = mono_cache[mono] = tuple(piece._terms.items())
             for m2, c2 in image:
                 _accumulate(out, m2, c * c2)
         results.append(_poly(registry, out))

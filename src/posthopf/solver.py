@@ -13,12 +13,13 @@ branch dies (inconsistent).  Every resolved branch is re-verified by exact
 substitution into the original system; a verification failure is a hard
 error, never a silent drop.
 
-A branch's equations form a store: a list sorted by ``Poly.canon_key`` with
-unique keys, where of two equations with one key (rational multiples of
-each other) the one first in input order stays.  ``_prepare`` builds it
-once; after each move ``_refile`` re-keys only the equations the move
-changed and inserts them among the untouched ones, which keep their keys
-and their order.
+A branch's equations form a store: a list sorted only where its order is
+read, before move (c) picks a split and at a leaf.  There ``_prepare``
+stable-sorts it by ``Poly.canon_key`` and keeps the first equation of each
+key (rational multiples share a key).  In between, an elimination or a
+cancellation replaces each changed equation in its list position and drops
+zeros, and a split child's factor comes last.  Move (b) reads ``canon_key``
+only on a tie; equations of one key give the same elimination.
 
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs produce identical branches.
@@ -26,10 +27,8 @@ so two runs produce identical branches.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .multipoly import Poly, VarRegistry, compose_many, try_factor_split
 
@@ -110,36 +109,26 @@ def _prepare(equations) -> list[Poly]:
     ]
 
 
-def _refile(eqs: list[Poly], changed: dict[int, Poly]) -> list[Poly]:
-    """The store ``eqs`` with ``eqs[i]`` replaced by ``changed[i]``.
-
-    ``eqs`` must be sorted and unique outside the changed positions.  Only
-    the replacements are keyed and sorted; they are inserted by bisection
-    among the untouched equations, which keep their keys and their order.
-    The result equals ``_prepare`` over the replaced list: zeros drop out,
-    and of two equations with one key the one earlier in ``eqs`` stays.
-    """
-    out = []
-    origin = []
-    for j, eq in enumerate(eqs):
-        if j not in changed:
-            out.append(eq)
-            origin.append(j)
-    fresh = sorted(
-        ((eq.canon_key(), i, eq) for i, eq in changed.items() if not eq.is_zero()),
-        key=itemgetter(0),
-    )
-    lo = 0
-    for key, i, eq in fresh:
-        pos = bisect_left(out, key, lo, key=Poly.canon_key)
-        if pos == len(out) or out[pos].canon_key() != key:
-            out.insert(pos, eq)
-            origin.insert(pos, i)
-        elif i < origin[pos]:
-            out[pos] = eq
-            origin[pos] = i
-        lo = pos
-    return out
+def _elimination(eqs, solvable_set) -> tuple | None:
+    """Move (b)'s choice: the ``(v, a, eq)`` with ``eq = a*x_v + rest``,
+    ``a`` constant and ``rest`` free of ``x_v``, least in
+    ``(len(eq.support), v, eq.canon_key())``, or ``None``.  The key is read
+    only on a tie in the first two; of equal keys the first in list order
+    stays, and any of them gives the same ``x_v := x_v - eq/a``."""
+    best = None
+    for eq in eqs:
+        for v, a in eq.linear_candidates():
+            if solvable_set is None or v in solvable_set:
+                # candidates come by ascending id, so v is this equation's best
+                rank = (len(eq.support), v)
+                if (
+                    best is None
+                    or rank < best[0]
+                    or rank == best[0] and eq.canon_key() < best[3].canon_key()
+                ):
+                    best = (rank, v, a, eq)
+                break
+    return None if best is None else best[1:]
 
 
 def _bare_var(poly: Poly) -> int | None:
@@ -197,7 +186,7 @@ def solve(
                 assignments=dict(assign),
                 free_params=(),
                 registry=registry,
-                remaining=tuple(eqs),
+                remaining=tuple(_prepare(eqs)),
                 note=note,
                 trace=trace,
             )
@@ -206,37 +195,31 @@ def solve(
     while stack:
         eqs, assign, nonzero, watch, depth, trace = stack.pop()
         while True:
-            # cancel nonzero variables out of equations they divide
+            # cancel nonzero variables out of equations they divide, in place
             if nonzero:
-                changed = {}
                 for i, eq in enumerate(eqs):
                     while True:
                         hit = next((v for v in eq.content_vars() if v in nonzero), None)
                         if hit is None:
                             break
-                        eq = eq.divide_once_by(hit)
-                        changed[i] = eq
-                if changed:
-                    eqs = _refile(eqs, changed)
+                        eq = eqs[i] = eq.divide_once_by(hit)
 
             # (a) dead branches: nonzero constants, contradicted side
             # conditions, or (restricted mode) equations with no solvable
-            # variable left.
+            # variable left.  The note names the first dead equation in the
+            # sorted store.
             dead = None
-            for eq in eqs:
-                if eq.is_constant():
-                    dead = f"equation reduced to constant {eq}"
-                    break
-                if solvable_set is not None and not any(
-                    v in solvable_set for v in eq.support
-                ):
-                    dead = f"equation {eq} has no solvable variable"
-                    break
-            if dead is None:
-                for w in watch:
-                    if w.is_zero():
-                        dead = "nonzero side condition became zero"
-                        break
+            doomed = [
+                eq for eq in eqs
+                if eq.is_constant()
+                or solvable_set is not None and not any(v in solvable_set for v in eq.support)
+            ]
+            if doomed:
+                eq = min(doomed, key=Poly.canon_key)
+                dead = (f"equation reduced to constant {eq}" if eq.is_constant()
+                        else f"equation {eq} has no solvable variable")
+            elif any(w.is_zero() for w in watch):
+                dead = "nonzero side condition became zero"
             if dead is not None:
                 leaf("inconsistent", assign, eqs, dead, trace)
                 break
@@ -245,28 +228,15 @@ def solve(
             )
 
             # (b) linear elimination with a constant coefficient
-            best = None
-            for eq in eqs:
-                cands = eq.linear_candidates()
-                if not cands:
-                    continue
-                sup = eq.support
-                for v, a in cands:
-                    if solvable_set is not None and v not in solvable_set:
-                        continue
-                    key = (len(sup), v, eq.canon_key())
-                    if best is None or key < best[0]:
-                        best = (key, v, a, eq)
+            best = _elimination(eqs, solvable_set)
             if best is not None:
-                _, v, a, eq = best
+                v, a, eq = best
                 # eq = a*x_v + rest, so x_v := -rest/a = x_v - eq/a
                 expr = registry.var_by_id(v) - eq * (Fraction(1) / a)
                 assign = {w: val.substitute(v, expr) for w, val in assign.items()}
                 assign[v] = expr
-                eqs = _refile(eqs, {
-                    i: eq2.substitute(v, expr)
-                    for i, eq2 in enumerate(eqs) if v in eq2.support
-                })
+                subbed = (eq2.substitute(v, expr) if v in eq2.support else eq2 for eq2 in eqs)
+                eqs = [eq2 for eq2 in subbed if not eq2.is_zero()]
                 watch = tuple(w.substitute(v, expr) for w in watch)
                 if v in nonzero:
                     nonzero = nonzero - {v}
@@ -282,6 +252,7 @@ def solve(
 
             # (c) factor split on the lowest-canonical-order splittable
             # equation; children are disjoint cases.
+            eqs = _prepare(eqs)
             split = None
             for eq in eqs:
                 factors = try_factor_split(eq)
@@ -300,8 +271,8 @@ def solve(
                 if depth + 1 > max_depth or stats["nodes"] + len(factors) > max_branches:
                     leaf("unresolved", assign, eqs, "limit exceeded", trace)
                     break
+                # each factor comes last, so it loses every tie
                 rest = [e for e in eqs if e is not eq]
-                last = len(rest)  # each factor comes last, so it loses every tie
                 stats["splits"] += 1
                 stats["nodes"] += len(factors)
                 children = []
@@ -316,7 +287,7 @@ def solve(
                             child_watch.append(prior)
                     children.append(
                         (
-                            _refile(rest + [factor], {last: factor}),
+                            rest + [factor],
                             dict(assign),
                             frozenset(child_nonzero),
                             tuple(child_watch),

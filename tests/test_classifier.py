@@ -296,6 +296,18 @@ def test_case_tree_golden(request, fixture):
     assert digest == CASE_TREE_SHA256[fixture]
 
 
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+@pytest.mark.parametrize("param", ["generator32", "full64"])
+@pytest.mark.parametrize("max_branches", [3, 5, 10, 20])
+def test_leaf_remaining_is_sorted_with_unique_keys(mode, param, max_branches):
+    result = classify(mode, param, max_branches=max_branches)
+    leaves = [b for b in result.branches if b.status != "resolved"]
+    assert any(b.status == "unresolved" for b in leaves) or max_branches == 20
+    for branch in leaves:
+        keys = [eq.canon_key() for eq in branch.remaining]
+        assert keys == sorted(set(keys))
+
+
 # -- subsumption and matching -------------------------------------------------------
 
 def fam_of(op):

@@ -402,6 +402,29 @@ def test_classify_limits_exceeded(capsys):
     assert code == 2
 
 
+def test_classify_limited_run_golden(tmp_path, capsys):
+    # the unresolved branch's remaining equations name one representative
+    # per canon_key; the golden pins which one
+    json_path = tmp_path / "classify.json"
+    code, out, _ = run(capsys, "classify", "--max-branches", "3", "--json", str(json_path))
+    assert code == 2
+    assert "search limits exceeded; results incomplete" in out
+    assert json_path.read_text("utf-8") == golden("classify-relaxed-generator32-max3.json")
+
+
+@pytest.mark.parametrize("argv", [("--mode", "weak"), ("--max-branches", "3")])
+def test_classify_profile_goes_to_stderr_only(tmp_path, capsys, argv):
+    plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+    code, out, err = run(capsys, "classify", *argv, "--json", str(plain))
+    assert err == ""
+    code2, out2, err2 = run(capsys, "classify", *argv, "--json", str(profiled), "--profile")
+    assert (code2, out2) == (code, out)
+    assert profiled.read_bytes() == plain.read_bytes()
+    stages = [line.split()[1] for line in err2.splitlines()]
+    assert stages == ["generation", "solve", "branch_table", "subsume", "match"]
+    assert all(line.startswith("profile: ") and line.endswith(" s") for line in err2.splitlines())
+
+
 @pytest.mark.parametrize(
     "argv",
     [("families",), ("verify", "--hopf", "builtin:h4"), ("classify", "--max-depth", "0")],

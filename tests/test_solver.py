@@ -13,9 +13,9 @@ from posthopf.solver import (
     Constraint,
     ConstraintSystem,
     SolverVerificationError,
+    _elimination,
     _finalize,
     _prepare,
-    _refile,
     solve,
 )
 
@@ -48,9 +48,18 @@ simple_values = st.sampled_from([0, 1, -1, 2, X, -X, Y, Z, X + 1, Y - Z]).map(
 )
 
 
+# c*x_v + rest with a constant c: many share (support size, v), so move (b)
+# has to break ties by canon_key
+linear_polys = st.tuples(
+    st.sampled_from([X, Y, Z]),
+    st.sampled_from([1, 2, -1]),
+    st.sampled_from([0, 1, -1, 2, Y, Z, Y * Z, Z * Z, X * Y]),
+).map(lambda pick: pick[1] * pick[0] + pick[2])
+
+
 @st.composite
-def systems(draw):
-    bases = draw(st.lists(small_polys, min_size=2, max_size=5))
+def systems(draw, polys=small_polys):
+    bases = draw(st.lists(polys, min_size=2, max_size=5))
     picks = draw(
         st.lists(
             st.tuples(st.sampled_from(bases), st.sampled_from(SCALES)),
@@ -68,13 +77,53 @@ def test_first_of_two_multiples_stays():
 
 
 def test_substituted_equation_wins_over_a_later_multiple():
-    # y - 2 sorts before 2x - 2; y := x + 1 turns it into x - 1, which now
-    # comes first in input order and so replaces the untouched 2x - 2
+    # y - 2 sorts before 2x - 2; y := x + 1 turns it into x - 1 in its list
+    # position, so at the next sort it comes first in list order and
+    # replaces the untouched 2x - 2
     store = _prepare([2 * X - 2, Y - 2])
     assert store == [Y - 2, 2 * X - 2]
     y = REG.id_of("y")
-    got = _refile(store, {0: store[0].substitute(y, X + 1)})
-    assert got == [X - 1]
+    assert _prepare([eq.substitute(y, X + 1) for eq in store]) == [X - 1]
+
+
+def store_reg():
+    reg = VarRegistry()
+    return reg, *(reg.var(name) for name in "xyz")
+
+
+@pytest.mark.parametrize("case", ["untouched first", "substituted first"])
+def test_first_in_list_order_is_kept_after_an_elimination(case):
+    # e := y - value is eliminated first and k := e - 1 becomes -1, so the
+    # branch dies at once.  y^2 becomes value^2 in its list position; the
+    # untouched 2*value^2 is its multiple, and of the two the one earlier in
+    # the root store (key order) is the leaf's representative.
+    reg, x, y, z = store_reg()
+    value = z if case == "untouched first" else x * z
+    e = y - value
+    system = ConstraintSystem(
+        reg,
+        [Constraint(p, "toy", (i,)) for i, p in enumerate([y * y, 2 * value**2, e, e - 1])],
+        "toy",
+    )
+    (branch,), stats = solve(system)
+    assert stats["substitutions"] == 1
+    assert branch.note == "equation reduced to constant -1"
+    kept = 2 * value**2 if case == "untouched first" else value**2
+    assert branch.remaining == (Poly.constant(reg, -1), kept)
+
+
+def test_split_factor_loses_key_ties():
+    # x*q splits into x and q; the second child holds q beside the untouched
+    # 2q, and the factor comes last, so 2q stays at the next sort
+    reg, x, y, z = store_reg()
+    q = y * y + z * z + 1
+    system = ConstraintSystem(
+        reg, [Constraint(p, "toy", (i,)) for i, p in enumerate([x * q, 2 * q])], "toy"
+    )
+    branches, stats = solve(system)
+    assert stats["splits"] == 1
+    assert [b.status for b in branches] == ["unresolved", "unresolved"]
+    assert [b.remaining for b in branches] == [(2 * q,), (2 * q,)]
 
 
 STORE_SETTINGS = settings(max_examples=300, deadline=None)
@@ -87,46 +136,27 @@ def test_prepare_matches_reference(eqs):
 
 
 @STORE_SETTINGS
-@given(systems(), st.sampled_from("xyz"), st.one_of(simple_values, small_polys))
-def test_store_after_substitution(eqs, name, expr):
-    v = REG.id_of(name)
-    expr = expr.substitute(v, 0)  # an elimination's value never holds v
-    store = _prepare(eqs)
-    got = _refile(
-        store, {i: eq.substitute(v, expr) for i, eq in enumerate(store) if v in eq.support}
-    )
-    assert got == reference_prepare(eq.substitute(v, expr) for eq in store)
-
-
-@STORE_SETTINGS
-@given(systems(), st.data())
-def test_store_after_split(eqs, data):
-    store = _prepare(eqs)
-    split = data.draw(st.sampled_from(store)) if store else None
-    factor = data.draw(small_polys)
-    rest = [e for e in store if e is not split]
-    assert _refile(rest + [factor], {len(rest): factor}) == reference_prepare(rest + [factor])
-
-
-@STORE_SETTINGS
-@given(systems(), st.data())
-def test_store_after_any_replacement(eqs, data):
-    store = _prepare(eqs)
-    assume(store)
-    # replacements are often multiples of other equations in the store
-    changed = data.draw(
-        st.dictionaries(
-            st.integers(0, len(store) - 1),
-            st.one_of(
-                st.tuples(st.sampled_from(store), st.sampled_from(SCALES)).map(
-                    lambda pick: pick[0] * pick[1]
-                ),
-                small_polys,
-            ),
-        )
-    )
-    replaced = [changed.get(i, eq) for i, eq in enumerate(store)]
-    assert _refile(store, changed) == reference_prepare(replaced)
+@given(
+    systems(st.one_of(linear_polys, small_polys)),
+    st.one_of(st.none(), st.sets(st.integers(0, 2))),
+)
+def test_elimination_matches_the_eager_minimum(eqs, solvable):
+    # stores with duplicates and scaled multiples, as the solver leaves them
+    # between sorts; the eager rule reads canon_key for every candidate
+    eager = [
+        ((len(eq.support), v, eq.canon_key()), v, a, eq)
+        for eq in eqs
+        for v, a in eq.linear_candidates()
+        if solvable is None or v in solvable
+    ]
+    got = _elimination(eqs, solvable)
+    if not eager:
+        assert got is None
+        return
+    _key, v, a, eq = min(eager, key=lambda cand: cand[0])
+    got_v, got_a, got_eq = got
+    assert got_v == v
+    assert got_eq * (Fraction(1) / got_a) == eq * (Fraction(1) / a)
 
 
 # -- re-verification -----------------------------------------------------------------
