@@ -302,7 +302,8 @@ def test_case_tree_golden(request, fixture):
 def test_leaf_remaining_is_sorted_with_unique_keys(mode, param, max_branches):
     result = classify(mode, param, max_branches=max_branches)
     leaves = [b for b in result.branches if b.status != "resolved"]
-    assert any(b.status == "unresolved" for b in leaves) or max_branches == 20
+    if max_branches < 20:  # the limit cuts every job's search
+        assert any(b.status == "unresolved" for b in leaves)
     for branch in leaves:
         keys = [eq.canon_key() for eq in branch.remaining]
         assert keys == sorted(set(keys))

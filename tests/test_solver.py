@@ -41,11 +41,6 @@ SCALES = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2
 small_polys = st.lists(
     st.tuples(st.integers(-2, 2), st.sampled_from(MONOMIALS)), max_size=4
 ).map(lambda terms: sum((c * m for c, m in terms), Poly.zero(REG)))
-# values an elimination typically assigns; they make substituted equations
-# collide with untouched ones
-simple_values = st.sampled_from([0, 1, -1, 2, X, -X, Y, Z, X + 1, Y - Z]).map(
-    lambda value: value + Poly.zero(REG)
-)
 
 
 # c*x_v + rest with a constant c: many share (support size, v), so move (b)
