@@ -223,7 +223,7 @@ def specializes(general: TriangleOp, special: TriangleOp) -> bool:
                 diff = table_a[i][j][k] - table_b[i][j][k]
                 constraints.append(Constraint(diff, "match", (i, j, k)))
     system = ConstraintSystem(reg, constraints, "match")
-    branches, _ = solve(system, max_branches=500, max_depth=32, solvable=ids_a)
+    branches, _ = solve(system, max_branches=500, solvable=ids_a)
     return any(b.status == "resolved" for b in branches)
 
 
@@ -238,35 +238,21 @@ def subsume(families: list[Family]) -> list[Family]:
         if key not in keyed:
             keyed[key] = fam
     keys = sorted(keyed)
-    # mutual-specialization classes, then strict removal between classes
-    parent = {k: k for k in keys}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    rel: dict[tuple[str, str], bool] = {}
-    for ka in keys:
-        for kb in keys:
-            if ka == kb:
-                continue
-            rel[(ka, kb)] = specializes(keyed[ka].table, keyed[kb].table)
-    for ka in keys:
-        for kb in keys:
-            if ka < kb and rel.get((ka, kb)) and rel.get((kb, ka)):
-                ra, rbk = find(ka), find(kb)
-                if ra != rbk:
-                    parent[max(ra, rbk)] = min(ra, rbk)
-    reps = sorted({find(k) for k in keys})
-    removed: set[str] = set()
-    for kb in reps:
-        for ka in reps:
-            if ka != kb and rel.get((ka, kb)) and not rel.get((kb, ka)):
-                removed.add(kb)
-                break
-    return [keyed[k] for k in reps if k not in removed]
+    rel = {
+        (ka, kb): specializes(keyed[ka].table, keyed[kb].table)
+        for ka in keys
+        for kb in keys
+        if ka != kb
+    }
+    # kb goes when another family strictly generalizes it, or generalizes it
+    # mutually and has the smaller key
+    return [
+        keyed[kb]
+        for kb in keys
+        if not any(
+            ka != kb and rel[ka, kb] and (ka < kb or not rel[kb, ka]) for ka in keys
+        )
+    ]
 
 
 # -- matching against the built-in tables ---------------------------------------------
@@ -323,14 +309,13 @@ def classify(
     parameterization: str = "generator32",
     *,
     max_branches: int = 10000,
-    max_depth: int = 64,
 ) -> ClassificationResult:
     """Classify all operation tables on the Sweedler algebra for the given
     mode, returning every branch plus the deduplicated maximal families."""
     start = perf_counter()
     op, _reg, system = _cached_system(mode, parameterization)
     generated = perf_counter()
-    branches, stats = solve(system, max_branches=max_branches, max_depth=max_depth)
+    branches, stats = solve(system, max_branches=max_branches)
     solved = perf_counter()
     families = [
         Family(branch=b, table=branch_table(op, b), free_params=b.free_params)

@@ -36,6 +36,7 @@ from .triangleop import (
     check_unitality,
     family_table,
     op_from_json_dict,
+    op_ring,
     op_to_json_dict,
 )
 from . import classifier as _classifier
@@ -192,6 +193,20 @@ def _op_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict:
     return {**suite, "counit_absorption": check_counit_absorption(H, op), **tail}
 
 
+def _check_reducible(H: HopfStructure, p: int) -> None:
+    """Reject a structure the F_p operation checks cannot read: a constant of
+    ``mul``, ``unit``, ``comul`` or ``counit`` whose denominator p divides has
+    no value mod p.  The antipode is never read by those checks."""
+    for name in ("mul", "unit", "comul", "counit"):
+        entries = [getattr(H, name)]
+        while entries:
+            x = entries.pop()
+            if isinstance(x, tuple):
+                entries.extend(x)
+            elif Fraction(x).denominator % p == 0:
+                raise ValueError(f"Hopf structure {name} constant {x} has no value mod {p}")
+
+
 def cmd_verify(args) -> RunReport:
     H = _load_hopf(args.hopf)
     lines: list[str] = []
@@ -206,6 +221,9 @@ def cmd_verify(args) -> RunReport:
             raise ValueError(
                 f"operation dimension {op.dim} does not match the Hopf structure's {H.dim}"
             )
+        ring = op_ring(op)
+        if isinstance(ring, tuple):
+            _check_reducible(H, ring[1])
         suite = _op_suite(H, op, args.mode)
         payload["operation"] = {}
         for name, report in suite.items():
@@ -250,7 +268,6 @@ def cmd_classify(args) -> RunReport:
         mode=args.mode,
         parameterization=args.param,
         max_branches=args.max_branches,
-        max_depth=args.max_depth,
     )
     H = sweedler_h4()
     payload = _classifier.classification_to_json_dict(result)
@@ -409,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
     p.add_argument("--param", choices=("generator32", "full64"), default="generator32")
     p.add_argument("--max-branches", type=int, default=10000)
-    p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--unicode", action="store_true")
     p.add_argument("--json", dest="json_out")
     p.add_argument(

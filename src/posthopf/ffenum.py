@@ -23,8 +23,9 @@ a nonzero constant is dead; a prefix with a dead depth is pruned at once,
 its next row neither scanned nor descended into, since no later row can
 change a constant.  A row's candidates come from its folded constraints:
 those linear in its eight slots are row-reduced over F_p with the two
-counit pins, and a small affine solution space is enumerated and filtered
-by the rest; a large one is scanned in two counit-pinned halves.
+counit pins, and the affine solution space is walked depth first, one free
+slot per level, each other constraint checked as soon as the slots it reads
+are fixed (forward checking).
 
 The re-check of a completed table runs on its integer lift: the chosen
 residues (ints in 0..p-1) are completed and checked in int arithmetic, with
@@ -42,7 +43,6 @@ full axiom suite over F_p.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -231,77 +231,6 @@ def _is_linear(terms) -> bool:
     return all(len(mono) <= 1 and (not mono or mono[0][1] == 1) for _c, mono in terms)
 
 
-# an affine solution space is enumerated up to p**3 points, the size of one
-# scanned half; the wider spaces of rows 1 and g are scanned instead
-_MAX_FREE_SLOTS = 3
-
-
-def _solve_linear(p: int, eps_x: int, linear, nonlinear) -> list[tuple] | None:
-    """Candidates of a row from its linear constraints and the counit pins
-    (v0 + v1 = eps(x), w0 + w1 = 0) by row reduction over F_p, filtered by
-    the nonlinear constraints.  Returns None when the affine solution space
-    has more than ``_MAX_FREE_SLOTS`` free slots."""
-    # each equation scaled to a leading 1, so that repeats reduce only once
-    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x % p), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
-    for terms in linear:
-        coeffs = [0] * 9
-        for c, mono in terms:
-            if mono:
-                coeffs[mono[0][0] & 7] = c
-            else:
-                coeffs[8] = -c
-        inv = pow(next(c for c in coeffs if c), -1, p)
-        matrix.add(tuple(c * inv % p for c in coeffs))
-    reduced, pivots = rref(sorted(matrix), p)
-    if pivots[-1] == 8:
-        return []
-    free = [c for c in range(8) if c not in pivots]
-    if len(free) > _MAX_FREE_SLOTS:
-        return None
-    candidates = []
-    for point in itertools.product(range(p), repeat=len(free)):
-        vals = [0] * 8
-        for f, x in zip(free, point):
-            vals[f] = x
-        for pc, r in zip(pivots, reduced):
-            vals[pc] = (r[8] - sum(r[f] * vals[f] for f in free)) % p
-        vals = tuple(vals)
-        if all(_eval_compiled(c, vals, p) == 0 for c in nonlinear):
-            candidates.append(vals)
-    # the scan's order: lexicographic in the slots the counit pins leave free
-    candidates.sort(key=lambda v: (v[1], v[2], v[3], v[5], v[6], v[7]))
-    return candidates
-
-
-def _scan(p: int, eps_x: int, constraints) -> list[tuple]:
-    """Candidates of a row by scanning the counit-pinned x|>g half, then the
-    x|>v half for each survivor, lexicographically in slots 1-3, 5-7."""
-    v_only, rest = [], []
-    for c in constraints:
-        bucket = v_only if all(s & 7 < 4 for _c, mono in c for s, _e in mono) else rest
-        bucket.append(c)
-
-    candidates: list[tuple] = []
-    rng = range(p)
-    v_half: list[tuple] = []
-    for v1 in rng:
-        v0 = (eps_x - v1) % p
-        for v2 in rng:
-            for v3 in rng:
-                vals = (v0, v1, v2, v3, 0, 0, 0, 0)
-                if all(_eval_compiled(c, vals, p) == 0 for c in v_only):
-                    v_half.append((v0, v1, v2, v3))
-    for v in v_half:
-        for w1 in rng:
-            w0 = (-w1) % p
-            for w2 in rng:
-                for w3 in rng:
-                    vals = v + (w0, w1, w2, w3)
-                    if all(_eval_compiled(c, vals, p) == 0 for c in rest):
-                        candidates.append(vals)
-    return candidates
-
-
 def row_candidates(
     H4: HopfStructure, task: EnumerationTask, row_index: int, assigned_rows, system=None
 ) -> list[tuple]:
@@ -314,10 +243,11 @@ def row_candidates(
     the system of :func:`_root`.  Only the scanned depth is decoded to
     ``((slot, exp), ...)`` monomials.  Counit compatibility pins slots 0 and 4.
     The constraints linear in this row's slots are row-reduced together with
-    those pins; when at most ``_MAX_FREE_SLOTS`` slots stay free, the affine
-    solution space is enumerated and filtered by the nonlinear constraints.
-    Otherwise the two pinned halves are scanned, p**3 points each, against
-    every constraint."""
+    those pins, and the free slots of the affine solution space are walked
+    depth first over 0..p-1.  Each pivot slot is set at the level of the last
+    free slot its reduced row names, and each nonlinear constraint is checked
+    once, at the level of the deepest slot it reads (level 0, before any free
+    slot is fixed, when it reads only constant pivots)."""
     if tuple(H4.counit) != (1, 1, 0, 0) or H4.dim != 4:
         raise ValueError("row enumeration is specific to the Sweedler algebra")
     p = task.prime
@@ -327,14 +257,55 @@ def row_candidates(
             system = _fold(p, system, r, assigned_rows[r])
     if system[row_index] is None:
         return []
-    constraints = [[(c, _MONOS[mid]) for c, mid in terms] for terms in system[row_index]]
     eps_x = int(H4.counit[row_index])
-    linear, nonlinear = [], []
-    for c in constraints:
-        (linear if _is_linear(c) else nonlinear).append(c)
-    candidates = _solve_linear(p, eps_x, linear, nonlinear)
-    if candidates is None:
-        candidates = _scan(p, eps_x, constraints)
+    # each linear equation scaled to a leading 1, so that repeats reduce only once
+    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x % p), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
+    nonlinear = []
+    for terms in system[row_index]:
+        terms = [(c, _MONOS[mid]) for c, mid in terms]
+        if not _is_linear(terms):
+            nonlinear.append(terms)
+            continue
+        coeffs = [0] * 9
+        for c, mono in terms:
+            if mono:
+                coeffs[mono[0][0] & 7] = c
+            else:
+                coeffs[8] = -c
+        inv = pow(next(c for c in coeffs if c), -1, p)
+        matrix.add(tuple(c * inv % p for c in coeffs))
+    reduced, pivots = rref(sorted(matrix), p)
+    if pivots[-1] == 8:
+        return []
+    free = [c for c in range(8) if c not in pivots]
+    level_of = {f: i + 1 for i, f in enumerate(free)}
+    solved: list[list] = [[] for _ in range(len(free) + 1)]
+    for pc, r in zip(pivots, reduced):
+        named = [(f, r[f]) for f in free if r[f]]
+        level_of[pc] = max((level_of[f] for f, _c in named), default=0)
+        solved[level_of[pc]].append((pc, r[8], named))
+    checks: list[list] = [[] for _ in range(len(free) + 1)]
+    for terms in nonlinear:
+        checks[max(level_of[s & 7] for _c, mono in terms for s, _e in mono)].append(terms)
+
+    vals = [0] * 8
+    candidates = []
+
+    def walk(level: int) -> None:
+        for pc, const, named in solved[level]:
+            vals[pc] = (const - sum(c * vals[f] for f, c in named)) % p
+        if any(_eval_compiled(terms, vals, p) for terms in checks[level]):
+            return
+        if level == len(free):
+            candidates.append(tuple(vals))
+            return
+        for x in range(p):
+            vals[free[level]] = x
+            walk(level + 1)
+
+    walk(0)
+    # the walk is lexicographic in the free slots; the order promised is in slots 1-3, 5-7
+    candidates.sort(key=lambda v: (v[1], v[2], v[3], v[5], v[6], v[7]))
     return candidates
 
 

@@ -144,7 +144,6 @@ def solve(
     system: ConstraintSystem,
     *,
     max_branches: int = 10000,
-    max_depth: int = 64,
     solvable=None,
 ) -> tuple[list[Branch], dict]:
     """Depth-first exploration of the constraint system.
@@ -175,8 +174,8 @@ def solve(
     branches: list[Branch] = []
     original = [c.poly for c in system.equations]
     # stack entries: equations, assignments, nonzero var ids, watched nonzero
-    # polynomials, depth, trace
-    stack = [(_prepare(original), {}, frozenset(), (), 0, ())]
+    # polynomials, trace
+    stack = [(_prepare(original), {}, frozenset(), (), ())]
 
     def leaf(status, assign, eqs, note, trace):
         stats["pruned" if status == "inconsistent" else "unresolved"] += 1
@@ -193,7 +192,7 @@ def solve(
         )
 
     while stack:
-        eqs, assign, nonzero, watch, depth, trace = stack.pop()
+        eqs, assign, nonzero, watch, trace = stack.pop()
         while True:
             # cancel nonzero variables out of equations they divide, in place
             if nonzero:
@@ -268,7 +267,7 @@ def solve(
                     break
             if split is not None:
                 eq, factors = split
-                if depth + 1 > max_depth or stats["nodes"] + len(factors) > max_branches:
+                if stats["nodes"] + len(factors) > max_branches:
                     leaf("unresolved", assign, eqs, "limit exceeded", trace)
                     break
                 # each factor comes last, so it loses every tie
@@ -291,7 +290,6 @@ def solve(
                             dict(assign),
                             frozenset(child_nonzero),
                             tuple(child_watch),
-                            depth + 1,
                             trace + (f"split {eq}: case {factor} = 0",),
                         )
                     )

@@ -341,6 +341,26 @@ def test_subsume_keeps_one_of_mutual_duplicates():
     assert len(kept) == 1
 
 
+def test_subsume_keeps_the_smaller_key_of_mutual_specializations():
+    # family i at a and at 2a: distinct keys, each a specialization of the other
+    op = family_table("i")
+    reg = op.table[0][0][0].registry
+    vid = reg.id_of("a")
+    doubled = TriangleOp(
+        4,
+        tuple(
+            tuple(tuple(e.substitute(vid, 2 * reg.var_by_id(vid)) for e in cell) for cell in row)
+            for row in op.table
+        ),
+    )
+    keys = sorted(map(canonical_table_key, (op, doubled)))
+    assert keys[0] != keys[1]
+    assert specializes(op, doubled) and specializes(doubled, op)
+    for fams in ([op, doubled], [doubled, op]):
+        kept = subsume(list(map(fam_of, fams)))
+        assert [canonical_table_key(f.table) for f in kept] == keys[:1]
+
+
 def test_canonical_key_normalizes_parameter_sign():
     op = family_table("ii")
     reg = op.table[0][0][0].registry

@@ -192,6 +192,26 @@ def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys, changes):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("field, index", [("mul", (1, 1, 0)), ("counit", (0,))], ids=["mul", "counit"])
+def test_verify_fp_table_against_a_constant_with_no_value_mod_p(tmp_path, capsys, field, index):
+    # a Hopf constant 1/5 has no image in F_5: bad input, not an axiom failure
+    data = json.loads(hopf_to_json(sweedler_h4()))
+    *outer, last = index
+    target = data[field]
+    for i in outer:
+        target = target[i]
+    target[last] = "1/5"
+    hopf = tmp_path / "h4.json"
+    hopf.write_text(json.dumps(data), "utf-8")
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"dim": 4, "ring": {"prime": 5}, "table": [[["0"] * 4] * 4] * 4}), "utf-8")
+    code, out, err = run(capsys, "verify", "--hopf", str(hopf), "--op", str(op))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 # -- fuzzing the verify input boundary ---------------------------------------------
 
 # entries each ring accepts, and entries it must reject
@@ -427,7 +447,7 @@ def test_classify_profile_goes_to_stderr_only(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("families",), ("verify", "--hopf", "builtin:h4"), ("classify", "--max-depth", "0")],
+    [("families",), ("verify", "--hopf", "builtin:h4"), ("classify", "--max-branches", "0")],
     ids=["families", "verify", "classify"],
 )
 def test_unwritable_json_path_is_an_input_error(tmp_path, capsys, argv):

@@ -166,6 +166,10 @@ def test_row_candidates_match_brute_force(h4, monkeypatch):
     assigned = {0: (0, 1, 0, 0, 0, 0, 0, 0), 1: (0, 1, 0, 0, 0, 0, 0, 0), 2: (0, 0, 2, 1, 0, 0, 0, 0)}
     task = EnumerationTask(prime=3)
     assert row_candidates(h4, task, 3, assigned) == brute_force_candidates(3, "relaxed", 3, assigned)
+    # and here slot 1 of row v is a pivot named by free slot 6 (v1 = -v6),
+    # so the walk, lexicographic in the free slots, is out of order until sorted
+    assigned = {0: (0, 1, 0, 0, 0, 0, 2, 0), 1: (1, 0, 0, 0, 0, 0, 0, 0)}
+    assert row_candidates(h4, task, 2, assigned) == brute_force_candidates(3, "relaxed", 2, assigned)
 
 
 def test_row_candidates_match_brute_force_p5(monkeypatch):
@@ -180,6 +184,22 @@ def test_row_candidates_match_brute_force_p5(monkeypatch):
     ]
     for row, assigned, cands in sample:
         assert cands == brute_force_candidates(5, "relaxed", row, assigned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("relaxed", "weak")), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_row_candidates_match_brute_force_off_the_search_path(mode, row, rng):
+    # each earlier row is a uniform point of F_3**8 or, more often, one of
+    # the candidates of the rows before it, so the prefixes are denser than
+    # the search's and still reach row gv alive; the candidates, order
+    # included, equal a brute-force scan of all 3**8 points
+    h4 = sweedler_h4()
+    task = EnumerationTask(prime=3, mode=mode)
+    assigned = {}
+    for r in range(row):
+        cands = row_candidates(h4, task, r, assigned) if rng.random() < 0.7 else []
+        assigned[r] = rng.choice(cands) if cands else tuple(rng.randrange(3) for _ in range(8))
+    assert row_candidates(h4, task, row, assigned) == brute_force_candidates(3, mode, row, assigned)
 
 
 def evaluate(terms, rows, p):
@@ -267,8 +287,8 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
 @st.composite
 def residue_matrices(draw):
     """(p, rows): up to 12 rows of 9 residues mod p, zeros drawn often, so
-    that inconsistent systems (a pivot in column 8) and systems with more
-    free slots than ``ffenum._MAX_FREE_SLOTS`` both occur."""
+    that inconsistent systems (a pivot in column 8) and systems with many
+    free slots both occur, as in :func:`row_candidates`."""
     p = draw(st.sampled_from((3, 5, 7)))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
     rows = draw(st.lists(st.lists(entry, min_size=9, max_size=9), min_size=1, max_size=12))
@@ -283,7 +303,7 @@ def residue_matrices(draw):
 @example((5, [[1, 1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0, 0, 0]]))
 @example((7, [[2, 4, 6, 1, 3, 5, 0, 2, 4]] * 3 + [[0] * 9]))
 def test_rref_mod_p_matches_rref_over_fp(case):
-    # the elimination of _solve_linear, on ints mod p
+    # the elimination of row_candidates, on ints mod p
     p, rows = case
     reduced, pivots = rref(rows, p)
     want_rows, want_pivots = rref([[FpElement(x, p) for x in r] for r in rows])
