@@ -122,7 +122,7 @@ def generate_constraints(
                 continue
             seen.add(key)
             equations.append(Constraint(poly, entry.axiom, entry.indices))
-    return ConstraintSystem(registry, equations, mode)
+    return ConstraintSystem(registry, equations)
 
 
 # -- tables from branches, canonical forms, subsumption ------------------------------
@@ -222,7 +222,7 @@ def specializes(general: TriangleOp, special: TriangleOp) -> bool:
             for k in range(general.dim):
                 diff = table_a[i][j][k] - table_b[i][j][k]
                 constraints.append(Constraint(diff, "match", (i, j, k)))
-    system = ConstraintSystem(reg, constraints, "match")
+    system = ConstraintSystem(reg, constraints)
     branches, _ = solve(system, max_branches=500, solvable=ids_a)
     return any(b.status == "resolved" for b in branches)
 

@@ -15,17 +15,17 @@ classifier uses.
 
 The constraints are integer term lists over interned monomials in 32
 slots (``8*row + k``, read off the classifier's unknown table); a search
-reduces only row 0's mod p up front.  Each chosen row is then folded
-(substituted, mod p) into the constraints of every deeper row once, and
-the folded system is carried down the recursion, so all children of a
-prefix share that work.  A depth whose constraints include one folded to
-a nonzero constant is dead; a prefix with a dead depth is pruned at once,
-its next row neither scanned nor descended into, since no later row can
-change a constant.  A row's candidates come from its folded constraints:
-those linear in its eight slots are row-reduced over F_p with the two
-counit pins, and the affine solution space is walked depth first, one free
-slot per level, each other constraint checked as soon as the slots it reads
-are fixed (forward checking).
+starts from them unreduced.  Each chosen row is folded (substituted, mod p)
+into the constraints of every deeper row once, and the folded system is
+carried down the recursion, so all children of a prefix share that work.
+A depth whose constraints include one folded to a nonzero constant is
+dead; a prefix with a dead depth is pruned at once, its next row neither
+scanned nor descended into, since no later row can change a constant.  A
+row's candidates come from its constraints, folded or, for row 0, reduced
+mod p as they are read: those linear in its eight slots are row-reduced
+over F_p with the two counit pins, and the affine solution space is walked
+depth first, one free slot per level, each other constraint checked as
+soon as the slots it reads are fixed (forward checking).
 
 The re-check of a completed table runs on its integer lift: the chosen
 residues (ints in 0..p-1) are completed and checked in int arithmetic, with
@@ -81,7 +81,7 @@ class EnumerationTask:
     mode: str = "relaxed"
 
     def __post_init__(self):
-        if self.prime > MAX_PRIME or not is_odd_prime(self.prime):
+        if type(self.prime) is not int or self.prime > MAX_PRIME or not is_odd_prime(self.prime):
             raise ValueError(
                 f"prime must be an odd prime <= {MAX_PRIME}, got {self.prime}"
             )
@@ -103,10 +103,11 @@ class EnumerationReport:
 # Monomials ((slot, exp), ...) by ascending slot are interned as ints, 0 the
 # monomial 1.  An id's split is (row of its first slot, local id of that row's
 # part, id of the rest); _LOCALS maps each part, as a local monomial
-# ((slot & 7, exp), ...), to (local id, mask of its slots), alike in every row.
-_MONOS: list[tuple] = [()]
+# ((slot & 7, exp), ...), to (local id, mask of its slots), alike in every row;
+# its keys in insertion order are the local monomials by local id, and the
+# split of the monomial 1 names local id 0, the local monomial 1.
 _SPLITS: list[tuple] = [(-1, 0, 0)]
-_LOCALS: dict[tuple, tuple] = {}
+_LOCALS: dict[tuple, tuple] = {(): (0, 0)}
 
 
 @lru_cache(maxsize=None)
@@ -118,20 +119,19 @@ def _intern(mono: tuple) -> int:
     local = tuple((s & 7, e) for s, e in mono[:k])
     lid = _LOCALS.setdefault(local, (len(_LOCALS), sum(1 << s for s, _e in local)))[0]
     _SPLITS.append((row, lid, _intern(mono[k:])))
-    _MONOS.append(mono)
-    return len(_MONOS) - 1
+    return len(_SPLITS) - 1
 
 
 @lru_cache(maxsize=None)
-def _system_terms(mode: str):
+def _system_terms(mode: str) -> dict:
     """Constraints of the generator parameterization as integer term lists
     ``[(coeff, mono id), ...]``, grouped by depth (the highest row occurring
-    in the support), and per depth the ``(constant, gcd of the other
-    coefficients)`` of each constraint with a nonzero constant term.  The
-    unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
-    ``row |> v`` slot ``8*row + 4 + k``, read off the unknown table, so
-    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
-    that row's candidate tuple."""
+    in the support).  The unknown of ``row |> g`` coordinate k is slot
+    ``8*row + k`` and that of ``row |> v`` slot ``8*row + 4 + k``, read off
+    the unknown table, so ``slot >> 3`` is the row and ``slot & 7`` the
+    local slot, the place in that row's candidate tuple.  A search starts
+    from this system as it is: :func:`row_candidates` reduces row 0's
+    constraints mod p as it reads them, and :func:`_fold` the deeper ones."""
     h4 = sweedler_h4()
     op, _reg = classifier.build_unknown_op(h4, "generator32")
     slot_of = {
@@ -141,33 +141,17 @@ def _system_terms(mode: str):
         for k, unknown in enumerate(op.table[row][1 + half])
     }
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
-    constants: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
     for constraint in classifier.generate_constraints(h4, op, mode).equations:
-        terms = []
+        terms, depth = [], 0
         for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
-            terms.append((int(coeff), _intern(tuple(sorted((slot_of[v], e) for v, e in mono)))))
-        depth = max((_MONOS[mid][-1][0] >> 3 for _c, mid in terms if mid), default=0)
+            mono = tuple(sorted((slot_of[v], e) for v, e in mono))
+            if mono:
+                depth = max(depth, mono[-1][0] >> 3)
+            terms.append((int(coeff), _intern(mono)))
         grouped[depth].append(terms)
-        constant = sum(c for c, mid in terms if not mid)
-        if constant:
-            constants[depth].append((constant, math.gcd(*(c for c, mid in terms if mid))))
-    return grouped, constants
-
-
-def _root(p: int, mode: str) -> dict:
-    """The system before any row is chosen, in :func:`_fold`'s form: depth 0
-    reduced mod p, the deeper depths unreduced (the fold of row 0 reduces
-    them), and None for a depth with a constraint that is a nonzero constant
-    mod p."""
-    grouped, constants = _system_terms(mode)
-    reduced = ([(c % p, mid) for c, mid in terms if c % p] for terms in grouped[0])
-    root = {**grouped, 0: sorted(filter(None, reduced), key=len)}
-    for depth, pairs in constants.items():
-        if any(g % p == 0 and c % p for c, g in pairs):
-            root[depth] = None
-    return root
+    return grouped
 
 
 def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
@@ -220,7 +204,7 @@ def _eval_compiled(terms, vals, p: int) -> int:
     for c, mono in terms:
         v = c
         for s, e in mono:
-            v = v * pow(vals[s & 7], e, p) % p
+            v = v * pow(vals[s], e, p) % p
             if v == 0:
                 break
         total = (total + v) % p
@@ -231,45 +215,39 @@ def _is_linear(terms) -> bool:
     return all(len(mono) <= 1 and (not mono or mono[0][1] == 1) for _c, mono in terms)
 
 
-def row_candidates(
-    H4: HopfStructure, task: EnumerationTask, row_index: int, assigned_rows, system=None
-) -> list[tuple]:
+def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
     """All (x|>g, x|>v) value pairs over F_p for basis row ``row_index`` that
-    satisfy every constraint whose support lies within the assigned rows plus
-    this one, lexicographically in slots 1-3, 5-7.
+    satisfy every constraint of ``system[row_index]``, lexicographically in
+    slots 1-3, 5-7.
 
-    ``system`` is the constraint system with ``assigned_rows`` already
-    folded in (see :func:`_fold`); without it the rows are folded here into
-    the system of :func:`_root`.  Only the scanned depth is decoded to
-    ``((slot, exp), ...)`` monomials.  Counit compatibility pins slots 0 and 4.
-    The constraints linear in this row's slots are row-reduced together with
-    those pins, and the free slots of the affine solution space are walked
-    depth first over 0..p-1.  Each pivot slot is set at the level of the last
-    free slot its reduced row names, and each nonlinear constraint is checked
-    once, at the level of the deepest slot it reads (level 0, before any free
-    slot is fixed, when it reads only constant pivots)."""
-    if tuple(H4.counit) != (1, 1, 0, 0) or H4.dim != 4:
-        raise ValueError("row enumeration is specific to the Sweedler algebra")
-    p = task.prime
-    if system is None:
-        system = _root(p, task.mode)
-        for r in range(row_index):
-            system = _fold(p, system, r, assigned_rows[r])
-    if system[row_index] is None:
-        return []
-    eps_x = int(H4.counit[row_index])
+    ``system`` is :func:`_system_terms`' system with the rows before
+    ``row_index`` folded in (see :func:`_fold`), so each constraint of the
+    row's depth reads this row's slots only.  Its coefficients are reduced
+    mod p as they are read, zero terms and constraints left empty dropped,
+    and each monomial is decoded through its local id to ``((local slot,
+    exp), ...)``.  Counit compatibility pins slots 0 and 4.  The constraints
+    linear in this row's slots are row-reduced together with those pins, and
+    the free slots of the affine solution space are walked depth first over
+    0..p-1.  Each pivot slot is set at the level of the last free slot its
+    reduced row names, and each nonlinear constraint is checked once, at the
+    level of the deepest slot it reads (level 0, before any free slot is
+    fixed, when it reads only constant pivots)."""
+    local_monos = list(_LOCALS)
+    eps_x = sweedler_h4().counit[row_index]
     # each linear equation scaled to a leading 1, so that repeats reduce only once
-    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x % p), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
+    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
     nonlinear = []
     for terms in system[row_index]:
-        terms = [(c, _MONOS[mid]) for c, mid in terms]
+        terms = [(c % p, local_monos[_SPLITS[mid][1]]) for c, mid in terms if c % p]
+        if not terms:
+            continue
         if not _is_linear(terms):
             nonlinear.append(terms)
             continue
         coeffs = [0] * 9
         for c, mono in terms:
             if mono:
-                coeffs[mono[0][0] & 7] = c
+                coeffs[mono[0][0]] = c
             else:
                 coeffs[8] = -c
         inv = pow(next(c for c in coeffs if c), -1, p)
@@ -286,7 +264,7 @@ def row_candidates(
         solved[level_of[pc]].append((pc, r[8], named))
     checks: list[list] = [[] for _ in range(len(free) + 1)]
     for terms in nonlinear:
-        checks[max(level_of[s & 7] for _c, mono in terms for s, _e in mono)].append(terms)
+        checks[max(level_of[s] for _c, mono in terms for s, _e in mono)].append(terms)
 
     vals = [0] * 8
     candidates = []
@@ -354,7 +332,7 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
             stats["prefix_pruned"] += 1
             return
         stats["row_scans"] += 1
-        cands = row_candidates(h4, task, row, assigned, system)
+        cands = row_candidates(p, row, system)
         if not cands:
             stats["prefix_pruned"] += 1
             return
@@ -363,7 +341,7 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
             descend(row + 1, assigned, _fold(p, system, row, cand))
         del assigned[row]
 
-    descend(0, {}, _root(p, task.mode))
+    descend(0, {}, _system_terms(task.mode))
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

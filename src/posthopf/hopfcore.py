@@ -330,7 +330,7 @@ def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
         for k in range(n)
     ]
 
-    system = ConstraintSystem(reg, constraints, "group_like")
+    system = ConstraintSystem(reg, constraints)
     branches, _stats = solve(system)
     points: list[tuple] = []
     for br in branches:

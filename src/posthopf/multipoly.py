@@ -146,9 +146,6 @@ class VarRegistry:
     def name_of(self, vid: int) -> str:
         return self._names[vid]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
-
     def __len__(self) -> int:
         return len(self._names)
 
@@ -164,9 +161,6 @@ class VarRegistry:
 
     def var_by_id(self, vid: int) -> "Poly":
         return _poly(self, {_power(vid, 1): 1})
-
-    def constant(self, value) -> "Poly":
-        return Poly.constant(self, value)
 
 
 def _num(q):

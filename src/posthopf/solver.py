@@ -59,7 +59,6 @@ class Constraint:
 class ConstraintSystem:
     registry: VarRegistry
     equations: list[Constraint]
-    mode: str
 
 
 @dataclass

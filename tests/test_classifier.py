@@ -85,7 +85,6 @@ def test_weak_mode_adds_unit_row_linear_equations(h4):
     _, reg, weak = _cached_system("weak", "generator32")
     keys = {c.poly.canon_key() for c in weak.equations}
     assert parse_poly(reg, "c_0_1_1 - 1").canon_key() in keys
-    assert weak.mode == "weak"
     _, _, relaxed = _cached_system("relaxed", "generator32")
     assert len(weak.equations) > len(relaxed.equations)
 
@@ -105,9 +104,7 @@ def test_zero_table_is_inconsistent(h4):
 # -- the branch solver -----------------------------------------------------------
 
 def toy_system(equations, reg):
-    return ConstraintSystem(
-        reg, [Constraint(p, "toy", (i,)) for i, p in enumerate(equations)], "toy"
-    )
+    return ConstraintSystem(reg, [Constraint(p, "toy", (i,)) for i, p in enumerate(equations)])
 
 
 def test_solve_toy_product_system():

@@ -447,12 +447,17 @@ def test_classify_profile_goes_to_stderr_only(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("families",), ("verify", "--hopf", "builtin:h4"), ("classify", "--max-branches", "0")],
-    ids=["families", "verify", "classify"],
+    [
+        ("families", "--json"),
+        ("verify", "--hopf", "builtin:h4", "--json"),
+        ("classify", "--max-branches", "0", "--json"),
+        ("enumerate", "--prime", "3", "--out"),
+    ],
+    ids=["families", "verify", "classify", "enumerate"],
 )
 def test_unwritable_json_path_is_an_input_error(tmp_path, capsys, argv):
     json_path = tmp_path / "missing" / "report.json"
-    code, out, err = run(capsys, *argv, "--json", str(json_path))
+    code, out, err = run(capsys, *argv, str(json_path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(json_path) in err

@@ -18,7 +18,6 @@ from posthopf.ffenum import (
     EnumerationTask,
     _fold,
     _leaf,
-    _root,
     _system_terms,
     compare_with_families,
     enumerate_structures,
@@ -40,11 +39,6 @@ ONE, G, V, GV = 0, 1, 2, 3
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def h4():
-    return sweedler_h4()
-
-
 def test_task_validation():
     with pytest.raises(ValueError):
         EnumerationTask(prime=2)
@@ -52,6 +46,8 @@ def test_task_validation():
         EnumerationTask(prime=9)
     with pytest.raises(ValueError):
         EnumerationTask(prime=37)
+    with pytest.raises(ValueError):
+        EnumerationTask(prime=5.0)
     with pytest.raises(ValueError):
         EnumerationTask(prime=5, mode="strict")
 
@@ -61,48 +57,64 @@ def identity_row(p):
     return (0, 1, 0, 0, 0, 0, 1, 0)
 
 
-def test_row0_candidates_exclude_minus_one(h4):
+def candidates(p, mode, row, assigned):
+    """The candidates of ``row`` with the ``assigned`` rows folded into the
+    system of :func:`_system_terms`, or [] when that leaves the row's own
+    depth dead."""
+    folded = _system_terms(mode)
+    for r in range(row):
+        folded = _fold(p, folded, r, assigned[r])
+    return [] if folded[row] is None else row_candidates(p, row, folded)
+
+
+def test_row0_candidates_exclude_minus_one():
     # 1|>g = -1 satisfies neither counit nor coproduct compatibility
     for p in (3, 5):
-        task = EnumerationTask(prime=p)
-        cands = row_candidates(h4, task, 0, {})
+        cands = candidates(p, "relaxed", 0, {})
         heads = {c[:4] for c in cands}
         assert (p - 1, 0, 0, 0) not in heads
         # 1|>g is always 1 or g
         assert heads <= {(1, 0, 0, 0), (0, 1, 0, 0)}
 
 
-def test_row1_g_action_is_group_like(h4):
-    task = EnumerationTask(prime=5)
+def test_row1_g_action_is_group_like():
     assigned = {0: identity_row(5)}
-    cands = row_candidates(h4, task, 1, assigned)
+    cands = candidates(5, "relaxed", 1, assigned)
     assert cands
     assert {c[:4] for c in cands} <= {(1, 0, 0, 0), (0, 1, 0, 0)}
 
 
-def test_row2_candidates_respect_primitive_spaces(h4):
+def test_row2_candidates_respect_primitive_spaces():
     # with rows 1 and g acting as the identity on generators, coproduct
     # compatibility forces v|>g into the (g,g)-primitive space {0} and
     # v|>v into the (g,1)-primitive space; over F_3 the survivors are
     # exactly the multiples of v
-    task = EnumerationTask(prime=3)
     identity_row = (0, 1, 0, 0, 0, 0, 1, 0)
-    cands = row_candidates(h4, task, 2, {0: identity_row, 1: identity_row})
+    cands = candidates(3, "relaxed", 2, {0: identity_row, 1: identity_row})
     assert {c[:4] for c in cands} == {(0, 0, 0, 0)}
     assert {c[4:] for c in cands} == {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)}
 
 
 def decode(terms):
-    """A term list over monomial ids with each monomial decoded through the
-    id table to ``((slot, exp), ...)``."""
-    return [(c, ffenum._MONOS[mid]) for c, mid in terms]
+    """A term list over monomial ids with each monomial decoded to
+    ``((slot, exp), ...)``, by walking the id's splits (row, local id, rest)
+    and reading each local id's ``((local slot, exp), ...)`` off the local
+    table."""
+    local_monos = list(ffenum._LOCALS)
+    out = []
+    for c, mid in terms:
+        mono = []
+        while mid:
+            row, lid, mid = ffenum._SPLITS[mid]
+            mono += [(8 * row + k, e) for k, e in local_monos[lid]]
+        out.append((c, tuple(mono)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def system(mode):
     """The unreduced constraints of :func:`_system_terms`, decoded."""
-    grouped, _constants = _system_terms(mode)
-    return {depth: list(map(decode, constraints)) for depth, constraints in grouped.items()}
+    return {depth: list(map(decode, constraints)) for depth, constraints in _system_terms(mode).items()}
 
 
 def brute_force_candidates(p, mode, row, assigned):
@@ -135,22 +147,41 @@ def brute_force_candidates(p, mode, row, assigned):
     return out
 
 
-def visited_scans(monkeypatch, task):
-    """(row, assigned rows, candidates) of every row scan the search makes."""
-    scans = []
+def search_record(monkeypatch, task):
+    """The report, every prefix (rows 0..r) whose fold leaves a dead depth,
+    with those depths, and (row, assigned rows, candidates) of every row
+    scan.  The assigned rows are read off the ``_fold`` calls."""
+    pruned, prefix, scans = [], [], []
+    fold, scan = ffenum._fold, ffenum.row_candidates
 
-    def recording(h4, task, row, assigned, *system):
-        cands = row_candidates(h4, task, row, assigned, *system)
-        scans.append((row, dict(assigned), cands))
+    def recording_fold(p, system, row, values):
+        folded = fold(p, system, row, values)
+        # the search folds depth-first, so rows 0..row-1 are the ones folded last
+        del prefix[row:]
+        prefix.append(values)
+        dead = [depth for depth, constraints in folded.items() if constraints is None]
+        if dead:
+            pruned.append((tuple(prefix), dead))
+        return folded
+
+    def recording_scan(p, row, system):
+        cands = scan(p, row, system)
+        scans.append((row, dict(enumerate(prefix[:row])), cands))
         return cands
 
     with monkeypatch.context() as m:
-        m.setattr(ffenum, "row_candidates", recording)
-        enumerate_structures(task)
-    return scans
+        m.setattr(ffenum, "_fold", recording_fold)
+        m.setattr(ffenum, "row_candidates", recording_scan)
+        report = enumerate_structures(task)
+    return report, pruned, scans
 
 
-def test_row_candidates_match_brute_force(h4, monkeypatch):
+def visited_scans(monkeypatch, task):
+    """(row, assigned rows, candidates) of every row scan the search makes."""
+    return search_record(monkeypatch, task)[2]
+
+
+def test_row_candidates_match_brute_force(monkeypatch):
     # pruning soundness, order included: at every prefix the p = 3 search
     # visits, the candidates (folded through the recursion, and folded from
     # the assigned rows alone) equal a brute-force scan of all p**8 points
@@ -160,16 +191,15 @@ def test_row_candidates_match_brute_force(h4, monkeypatch):
         assert {row for row, _, _ in scans} == {0, 1, 2, 3}
         for row, assigned, cands in scans:
             assert cands == brute_force_candidates(3, mode, row, assigned)
-            assert row_candidates(h4, task, row, assigned) == cands
+            assert candidates(3, mode, row, assigned) == cands
     # off the search path: here a row-gv constraint that is not linear in
     # gv's slots removes the one point the linear ones leave
     assigned = {0: (0, 1, 0, 0, 0, 0, 0, 0), 1: (0, 1, 0, 0, 0, 0, 0, 0), 2: (0, 0, 2, 1, 0, 0, 0, 0)}
-    task = EnumerationTask(prime=3)
-    assert row_candidates(h4, task, 3, assigned) == brute_force_candidates(3, "relaxed", 3, assigned)
+    assert candidates(3, "relaxed", 3, assigned) == brute_force_candidates(3, "relaxed", 3, assigned)
     # and here slot 1 of row v is a pivot named by free slot 6 (v1 = -v6),
     # so the walk, lexicographic in the free slots, is out of order until sorted
     assigned = {0: (0, 1, 0, 0, 0, 0, 2, 0), 1: (1, 0, 0, 0, 0, 0, 0, 0)}
-    assert row_candidates(h4, task, 2, assigned) == brute_force_candidates(3, "relaxed", 2, assigned)
+    assert candidates(3, "relaxed", 2, assigned) == brute_force_candidates(3, "relaxed", 2, assigned)
 
 
 def test_row_candidates_match_brute_force_p5(monkeypatch):
@@ -193,48 +223,17 @@ def test_row_candidates_match_brute_force_off_the_search_path(mode, row, rng):
     # the candidates of the rows before it, so the prefixes are denser than
     # the search's and still reach row gv alive; the candidates, order
     # included, equal a brute-force scan of all 3**8 points
-    h4 = sweedler_h4()
-    task = EnumerationTask(prime=3, mode=mode)
     assigned = {}
     for r in range(row):
-        cands = row_candidates(h4, task, r, assigned) if rng.random() < 0.7 else []
+        cands = candidates(3, mode, r, assigned) if rng.random() < 0.7 else []
         assigned[r] = rng.choice(cands) if cands else tuple(rng.randrange(3) for _ in range(8))
-    assert row_candidates(h4, task, row, assigned) == brute_force_candidates(3, mode, row, assigned)
+    assert candidates(3, mode, row, assigned) == brute_force_candidates(3, mode, row, assigned)
 
 
 def evaluate(terms, rows, p):
     """A decoded term list (see :func:`system`) at the full point ``rows``,
     mod p."""
     return sum(c * math.prod(rows[s >> 3][s & 7] ** e for s, e in mono) for c, mono in terms) % p
-
-
-def search_record(monkeypatch, task):
-    """The report, every prefix (rows 0..r) whose fold leaves a dead depth,
-    with those depths, and the candidate count of every row scan."""
-    pruned, prefix, scans = [], [], []
-    fold, scan = ffenum._fold, ffenum.row_candidates
-
-    def recording_fold(p, system, row, values):
-        folded = fold(p, system, row, values)
-        if row >= 0:
-            # the search folds depth-first, so rows 0..row-1 are the ones folded last
-            del prefix[row:]
-            prefix.append(values)
-            dead = [depth for depth, constraints in folded.items() if constraints is None]
-            if dead:
-                pruned.append((tuple(prefix), dead))
-        return folded
-
-    def recording_scan(*args):
-        cands = scan(*args)
-        scans.append(len(cands))
-        return cands
-
-    with monkeypatch.context() as m:
-        m.setattr(ffenum, "_fold", recording_fold)
-        m.setattr(ffenum, "row_candidates", recording_scan)
-        report = enumerate_structures(task)
-    return report, pruned, scans
 
 
 def test_fold_pruning_is_sound(monkeypatch):
@@ -247,7 +246,7 @@ def test_fold_pruning_is_sound(monkeypatch):
             report, pruned, scans = search_record(monkeypatch, EnumerationTask(prime=p, mode=mode))
             assert pruned
             assert report.stats["row_scans"] == len(scans)
-            assert report.stats["prefix_pruned"] == len(pruned) + scans.count(0)
+            assert report.stats["prefix_pruned"] == len(pruned) + sum(not cands for *_, cands in scans)
             for prefix, dead in pruned:
                 completions = [
                     prefix + tuple(
@@ -264,9 +263,10 @@ def test_fold_pruning_is_sound(monkeypatch):
 
 
 def test_root_dead_depth_prunes_the_search(monkeypatch):
-    # a depth-2 constraint 3 x + 1, x the first coordinate of v |> g, is the
-    # constant 1 mod 3 before any row is chosen: the root is pruned without a
-    # row scan.  Mod 5 the depth stays open.
+    # a depth-2 constraint 3 x + 1, x the first coordinate of v |> g (slot
+    # 16), is the constant 1 mod 3 before any row is chosen: row 0 is scanned,
+    # and each of its 4 candidates dies at its fold, which leaves depth 2
+    # dead.  Mod 5 depth 2 stays alive after the fold of row 0.
     generate = classifier.generate_constraints
 
     def with_dead_constraint(h, op, mode):
@@ -277,11 +277,14 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(classifier, "generate_constraints", with_dead_constraint)
         m.setattr(ffenum, "_system_terms", functools.lru_cache(_system_terms.__wrapped__))
-        assert ffenum._system_terms("relaxed")[1][2] == [(1, 3)]
-        assert [depth for depth, c in _root(3, "relaxed").items() if c is None] == [2]
+        injected = ffenum._system_terms("relaxed")
+        assert sorted(decode(injected[2][-1])) == [(1, ()), (3, ((16, 1),))]
+        for p, dead in ((3, True), (5, False)):
+            row0 = row_candidates(p, 0, injected)
+            assert row0
+            assert all((_fold(p, injected, 0, cand)[2] is None) == dead for cand in row0)
         report = enumerate_structures(EnumerationTask(prime=3))
-        assert report.stats == {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 1}
-        assert None not in _root(5, "relaxed").values()
+        assert report.stats == {"row_scans": 1, "leaves": 0, "passed": 0, "prefix_pruned": 4}
 
 
 @st.composite
@@ -331,7 +334,7 @@ def test_fold_off_the_search_path(p, mode, last, rng):
         prefix + [tuple(rng.randrange(p) for _ in range(8)) for _ in range(3 - last)]
         for _ in range(4)
     ]
-    folded = _root(p, mode)
+    folded = _system_terms(mode)
     for row, values in enumerate(prefix):
         folded = _fold(p, folded, row, values)
 
@@ -505,12 +508,22 @@ def test_compare_diff_directions(enum_p3):
 
 
 def test_constraint_coefficients_are_integers():
-    for mode in ("relaxed", "weak"):
-        grouped, _constants = _system_terms(mode)
+    # and every constraint with a nonzero constant term has gcd 1 over its
+    # other coefficients, so no prime turns one into a nonzero constant before
+    # a row is folded in (each such constant is -1: 4 relaxed, 8 weak)
+    for mode, count in (("relaxed", 4), ("weak", 8)):
+        grouped = _system_terms(mode)
         assert set(grouped) == {0, 1, 2, 3}
         assert all(
             isinstance(c, int) for terms in grouped.values() for t in terms for c, _ in t
         )
+        constants = []
+        for terms in itertools.chain(*grouped.values()):
+            constant = sum(c for c, mid in terms if not mid)
+            if constant:
+                assert math.gcd(*(c for c, mid in terms if mid)) == 1
+                constants.append(constant)
+        assert constants == [-1] * count
 
 
 def test_fp_structures_check_exactly(enum_p3):

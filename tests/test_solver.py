@@ -98,7 +98,6 @@ def test_first_in_list_order_is_kept_after_an_elimination(case):
     system = ConstraintSystem(
         reg,
         [Constraint(p, "toy", (i,)) for i, p in enumerate([y * y, 2 * value**2, e, e - 1])],
-        "toy",
     )
     (branch,), stats = solve(system)
     assert stats["substitutions"] == 1
@@ -112,9 +111,7 @@ def test_split_factor_loses_key_ties():
     # 2q, and the factor comes last, so 2q stays at the next sort
     reg, x, y, z = store_reg()
     q = y * y + z * z + 1
-    system = ConstraintSystem(
-        reg, [Constraint(p, "toy", (i,)) for i, p in enumerate([x * q, 2 * q])], "toy"
-    )
+    system = ConstraintSystem(reg, [Constraint(p, "toy", (i,)) for i, p in enumerate([x * q, 2 * q])])
     branches, stats = solve(system)
     assert stats["splits"] == 1
     assert [b.status for b in branches] == ["unresolved", "unresolved"]
@@ -196,7 +193,7 @@ def test_finalize_reports_a_residual_beside_a_zero_factor():
     xid, yid, zid = (reg.id_of(name) for name in "xyz")
     # the residual's term comes after the zero product, and before it
     for eq in (x * y + z, z + x * y):
-        system = ConstraintSystem(reg, [Constraint(eq, "toy", (0,))], "toy")
+        system = ConstraintSystem(reg, [Constraint(eq, "toy", (0,))])
         # x*y has the empty image under either zero, and z := 0 solves eq
         for assign in ({xid: zero, zid: zero}, {yid: zero, zid: zero}):
             assert _finalize(system, assign, (), 3).status == "resolved"
@@ -234,9 +231,7 @@ def factored_systems(draw):
         else:
             j = draw(var.filter(lambda j: j != i))
             eqs.append(xs[i] + draw(st.sampled_from((1, -1))) * xs[j])
-    return ConstraintSystem(
-        reg, [Constraint(p, "toy", (k,)) for k, p in enumerate(eqs)], "toy"
-    )
+    return ConstraintSystem(reg, [Constraint(p, "toy", (k,)) for k, p in enumerate(eqs)])
 
 
 def reproduces(branch, point) -> bool:
