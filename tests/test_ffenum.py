@@ -95,6 +95,16 @@ def test_row2_candidates_respect_primitive_spaces():
     assert {c[4:] for c in cands} == {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)}
 
 
+def test_row_candidates_drop_what_vanishes_mod_p():
+    # row 0 is read unreduced: a term whose coefficient p divides is dropped,
+    # and a constraint left empty constrains nothing
+    x1, x2 = ffenum._intern(((1, 1),)), ffenum._intern(((2, 1),))
+    free = row_candidates(3, 0, {0: []})
+    assert len(free) == 3**6
+    assert row_candidates(3, 0, {0: [[(3, x1), (6, 0)]]}) == free
+    assert row_candidates(3, 0, {0: [[(3, x1), (4, x2)]]}) == [c for c in free if c[2] == 0]
+
+
 def decode(terms):
     """A term list over monomial ids with each monomial decoded to
     ``((slot, exp), ...)``, by walking the id's splits (row, local id, rest)
