@@ -7,6 +7,11 @@ branch solver of :mod:`posthopf.solver`.  Resolved branches are then
 deduplicated and subsumed into maximal families and matched against the
 built-in tables.
 
+The relaxed axioms are the weak ones without unitality, so each
+parameterization's constraints are generated once per process, for the weak
+suite, and the relaxed system is that list without its unitality
+constraints.
+
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs serialize identically byte for byte.
 """
@@ -297,10 +302,27 @@ def builtin_families() -> dict[str, TriangleOp]:
 # -- the full pipeline -----------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cached_system(mode: str, parameterization: str):
+def _weak_system(parameterization: str):
+    """The unknown table of ``parameterization``, its registry and its weak
+    constraint system, generated once per process for both modes."""
     h4 = sweedler_h4()
     op, reg = build_unknown_op(h4, parameterization)
-    system = generate_constraints(h4, op, mode)
+    return op, reg, generate_constraints(h4, op, "weak")
+
+
+@lru_cache(maxsize=None)
+def _cached_system(mode: str, parameterization: str):
+    """The table, registry and constraint system of one classify job.  The
+    weak suite is the relaxed one plus unitality, and generation dedupes in
+    suite order, so the relaxed system is the weak one without its
+    unitality constraints, as the same objects in the same order."""
+    if mode not in ("relaxed", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    op, reg, system = _weak_system(parameterization)
+    if mode == "relaxed":
+        system = ConstraintSystem(
+            reg, [c for c in system.equations if c.axiom != "unitality"]
+        )
     return op, reg, system
 
 

@@ -14,8 +14,9 @@ product rule forces the remaining columns, the same completion the
 classifier uses.
 
 The constraints are integer term lists over interned monomials in 32
-slots (``8*row + k``, read off the classifier's unknown table); a search
-starts from them unreduced.  Each chosen row is folded (substituted, mod p)
+slots (``8*row + k``, read off the classifier's unknown table), converted
+once per process from the weak generation; the relaxed system is the same
+term lists without unitality's.  A search starts from them unreduced.  Each chosen row is folded (substituted, mod p)
 into the constraints of every deeper row once, and the folded system is
 carried down the recursion, so all children of a prefix share that work.
 A depth whose constraints include one folded to a nonzero constant is
@@ -123,15 +124,15 @@ def _intern(mono: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _system_terms(mode: str) -> dict:
-    """Constraints of the generator parameterization as integer term lists
-    ``[(coeff, mono id), ...]``, grouped by depth (the highest row occurring
-    in the support).  The unknown of ``row |> g`` coordinate k is slot
-    ``8*row + k`` and that of ``row |> v`` slot ``8*row + 4 + k``, read off
-    the unknown table, so ``slot >> 3`` is the row and ``slot & 7`` the
-    local slot, the place in that row's candidate tuple.  A search starts
-    from this system as it is: :func:`row_candidates` reduces row 0's
-    constraints mod p as it reads them, and :func:`_fold` the deeper ones."""
+def _generator_terms() -> tuple:
+    """The weak constraints of the generator parameterization, converted
+    once per process for both modes, as ``(axiom, depth, terms)`` in
+    generation order: ``terms`` is the integer term list ``[(coeff, mono
+    id), ...]`` and ``depth`` the highest row occurring in its support.  The
+    unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
+    ``row |> v`` slot ``8*row + 4 + k``, read off the unknown table, so
+    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
+    that row's candidate tuple."""
     h4 = sweedler_h4()
     op, _reg = classifier.build_unknown_op(h4, "generator32")
     slot_of = {
@@ -140,8 +141,8 @@ def _system_terms(mode: str) -> dict:
         for half in (0, 1)
         for k, unknown in enumerate(op.table[row][1 + half])
     }
-    grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
-    for constraint in classifier.generate_constraints(h4, op, mode).equations:
+    converted = []
+    for constraint in classifier.generate_constraints(h4, op, "weak").equations:
         terms, depth = [], 0
         for mono, coeff in constraint.poly.terms():
             if coeff.denominator != 1:
@@ -150,7 +151,25 @@ def _system_terms(mode: str) -> dict:
             if mono:
                 depth = max(depth, mono[-1][0] >> 3)
             terms.append((int(coeff), _intern(mono)))
-        grouped[depth].append(terms)
+        converted.append((constraint.axiom, depth, terms))
+    return tuple(converted)
+
+
+@lru_cache(maxsize=None)
+def _system_terms(mode: str) -> dict:
+    """The constraints of ``mode`` as term lists grouped by depth, in
+    generation order.  The relaxed axioms are the weak ones without
+    unitality, so the relaxed system is :func:`_generator_terms` without its
+    unitality term lists (all at depth 0); both modes share the term lists.
+    A search starts from this system as it is: :func:`row_candidates`
+    reduces row 0's constraints mod p as it reads them, and :func:`_fold`
+    the deeper ones."""
+    if mode not in ("relaxed", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
+    for axiom, depth, terms in _generator_terms():
+        if mode == "weak" or axiom != "unitality":
+            grouped[depth].append(terms)
     return grouped
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactmath import kernel_basis, parse_rational
 from .multipoly import VarRegistry
@@ -83,6 +83,16 @@ class HopfStructure:
                 raise ValueError("tensor shape does not match dim")
         if len(self.antipode) != n or any(len(row) != n for row in self.antipode):
             raise ValueError("antipode shape does not match dim")
+
+    @cached_property
+    def _comul_terms(self) -> tuple:
+        """The nonzero ``(a, b, comul[i][a][b])`` of each coproduct, in
+        row-major order, which :func:`_sweedler` iterates.  It is not a
+        field, so equality, hashing and JSON never see it."""
+        return tuple(
+            tuple((a, b, c) for a, row in enumerate(plane) for b, c in enumerate(row) if c)
+            for plane in self.comul
+        )
 
 
 @dataclass(frozen=True)
@@ -179,12 +189,10 @@ def _sweedler(H: HopfStructure, i: int, f, zero) -> list:
     """``sum_ab comul[i][a][b] f(a, b)``: the length-dim vectors ``f(a, b)``
     summed over the coproduct of ``e_i``, in the ring of ``zero``."""
     out = [zero] * H.dim
-    for a, row in enumerate(H.comul[i]):
-        for b, c in enumerate(row):
-            if c:
-                for k, v in enumerate(f(a, b)):
-                    if v:
-                        out[k] = out[k] + c * v
+    for a, b, c in H._comul_terms[i]:
+        for k, v in enumerate(f(a, b)):
+            if v:
+                out[k] = out[k] + c * v
     return out
 
 

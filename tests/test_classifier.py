@@ -89,6 +89,46 @@ def test_weak_mode_adds_unit_row_linear_equations(h4):
     assert len(weak.equations) > len(relaxed.equations)
 
 
+def equation_view(system):
+    return [(str(c.poly), c.axiom, c.indices) for c in system.equations]
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+@pytest.mark.parametrize("parameterization", ["generator32", "full64"])
+def test_cached_system_equals_a_fresh_generation(h4, mode, parameterization):
+    # the shared generation gives each job the equations, in the order, that
+    # generating its own mode from scratch gives
+    _op, _reg, cached = _cached_system(mode, parameterization)
+    fresh = generate_constraints(h4, build_unknown_op(h4, parameterization)[0], mode)
+    assert equation_view(cached) == equation_view(fresh)
+    counts = {("relaxed", "generator32"): 700, ("weak", "generator32"): 711,
+              ("relaxed", "full64"): 760, ("weak", "full64"): 776}
+    assert len(cached.equations) == counts[mode, parameterization]
+
+
+@pytest.mark.parametrize("parameterization", ["generator32", "full64"])
+def test_relaxed_system_is_the_weak_one_without_unitality(parameterization):
+    op_w, reg_w, weak = _cached_system("weak", parameterization)
+    op_r, reg_r, relaxed = _cached_system("relaxed", parameterization)
+    assert op_r is op_w and reg_r is reg_w
+    kept = [c for c in weak.equations if c.axiom != "unitality"]
+    assert len(relaxed.equations) == len(kept)
+    assert all(a is b for a, b in zip(relaxed.equations, kept))
+    # generation dedupes in suite order, so unitality is the tail of the weak list
+    assert all(a is b for a, b in zip(weak.equations, kept))
+    assert {c.axiom for c in weak.equations[len(kept):]} == {"unitality"}
+
+
+def test_unknown_mode_is_refused():
+    for call in (
+        lambda: classify(mode="bogus"),
+        lambda: _cached_system("bogus", "generator32"),
+        lambda: _cached_system("weak", "bogus"),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_zero_table_is_inconsistent(h4):
     op, reg = build_unknown_op(h4, "generator32")
     zero_reg = VarRegistry()

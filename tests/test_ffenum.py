@@ -286,7 +286,9 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(classifier, "generate_constraints", with_dead_constraint)
-        m.setattr(ffenum, "_system_terms", functools.lru_cache(_system_terms.__wrapped__))
+        # fresh caches, so that neither the injected system nor the real one leaks
+        for name in ("_generator_terms", "_system_terms"):
+            m.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
         injected = ffenum._system_terms("relaxed")
         assert sorted(decode(injected[2][-1])) == [(1, ()), (3, ((16, 1),))]
         for p, dead in ((3, True), (5, False)):
@@ -362,12 +364,19 @@ def test_fold_off_the_search_path(p, mode, last, rng):
 
 def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
     # the oracle converts generate_constraints' output itself, so a fresh
-    # enumerate run keeps no Poly system alive in the classifier's cache
+    # enumerate run keeps no Poly system alive in any of the classifier's
+    # caches: the last line is the exit code, _cached_system's size, and then
+    # name=size for every cached function the classifier defines
     code = (
         "import sys\n"
         "from posthopf import classifier, cli\n"
         "rc = cli.main(['enumerate', '--prime', '3', '--out', sys.argv[1]])\n"
-        "print(rc, classifier._cached_system.cache_info().currsize)\n"
+        "caches = sorted(\n"
+        "    f'{f.__name__}={f.cache_info().currsize}'\n"
+        "    for f in vars(classifier).values()\n"
+        "    if hasattr(f, 'cache_info') and f.__module__ == classifier.__name__\n"
+        ")\n"
+        "print(rc, classifier._cached_system.cache_info().currsize, *caches)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -375,7 +384,11 @@ def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "0"]
+    rc, size, *caches = proc.stdout.splitlines()[-1].split()
+    assert [rc, size] == ["0", "0"]
+    sizes = dict(entry.split("=") for entry in caches)
+    assert {"_cached_system", "_weak_system"} <= set(sizes)
+    assert set(sizes.values()) == {"0"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -534,6 +547,39 @@ def test_constraint_coefficients_are_integers():
                 assert math.gcd(*(c for c, mid in terms if mid)) == 1
                 constants.append(constant)
         assert constants == [-1] * count
+
+
+def own_conversion(mode):
+    """One mode's own generation converted on its own: each constraint as
+    ``[(coeff, ((slot, exp), ...)), ...]`` grouped by depth, the slot of
+    ``c_i_j_k`` read off its name as ``8*i + 4*(j - 1) + k``."""
+    h4 = sweedler_h4()
+    op, reg = classifier.build_unknown_op(h4, "generator32")
+    grouped = {0: [], 1: [], 2: [], 3: []}
+    for constraint in classifier.generate_constraints(h4, op, mode).equations:
+        terms = []
+        for mono, coeff in constraint.poly.terms():
+            slots = []
+            for v, e in mono:
+                i, j, k = map(int, reg.name_of(v).split("_")[1:])
+                slots.append((8 * i + 4 * (j - 1) + k, e))
+            terms.append((int(coeff), tuple(sorted(slots))))
+        grouped[max((s >> 3 for _c, mono in terms for s, _e in mono), default=0)].append(terms)
+    return grouped
+
+
+def test_both_modes_share_one_conversion():
+    # each mode's system is what converting its own generation gives, and the
+    # relaxed one holds the weak one's term lists, less unitality's 11 at depth 0
+    for mode in ("relaxed", "weak"):
+        assert system(mode) == own_conversion(mode)
+    relaxed, weak = _system_terms("relaxed"), _system_terms("weak")
+    for depth in range(4):
+        shared = {id(terms) for terms in weak[depth]}
+        assert all(id(terms) in shared for terms in relaxed[depth])
+    assert [len(weak[d]) - len(relaxed[d]) for d in range(4)] == [11, 0, 0, 0]
+    with pytest.raises(ValueError):
+        _system_terms("bogus")
 
 
 def test_fp_structures_check_exactly(enum_p3):

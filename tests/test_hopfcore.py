@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from posthopf.exactmath import FpElement
 from posthopf.hopfcore import (
     HopfStructure,
+    _sweedler,
     antipode_of,
     basis_element,
     comultiply,
@@ -18,6 +21,7 @@ from posthopf.hopfcore import (
     tensor_multiply,
     verify_hopf_axioms,
 )
+from posthopf.multipoly import VarRegistry
 
 ONE, G, V, GV = 0, 1, 2, 3
 
@@ -233,6 +237,61 @@ def test_sweedler_constants_are_ints(h4):
     parsed = hopf_from_json(hopf_to_json(h4))
     assert all(type(c) is Fraction for c in sweedler_constants(parsed))
     assert parsed == h4
+
+
+def dense_sweedler(H, i, f, zero):
+    """The Sweedler sum over every coordinate of ``comul[i]``, zeros skipped
+    as they are read."""
+    out = [zero] * H.dim
+    for a, row in enumerate(H.comul[i]):
+        for b, c in enumerate(row):
+            if c:
+                for k, v in enumerate(f(a, b)):
+                    if v:
+                        out[k] = out[k] + c * v
+    return out
+
+
+def test_sweedler_kernel_matches_the_dense_sum(h4):
+    # the kernel iterates only the nonzero coproduct coordinates; in every
+    # ring it returns the dense sum's values, with the same types
+    rng = random.Random(7)
+    reg = VarRegistry()
+    xs = [reg.var(f"x{k}") for k in range(4)]
+    rings = {
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        "fp": lambda: FpElement(rng.randint(0, 4), 5),
+        "poly": lambda: rng.randint(-2, 2) * rng.choice(xs) + rng.randint(-1, 1),
+    }
+    for H in (h4, hopf_from_json(hopf_to_json(h4)), z2_group_algebra(), trivial_hopf()):
+        n = H.dim
+        for ring, draw in rings.items():
+            for _ in range(5):
+                x = [tuple(draw() for _ in range(n)) for _ in range(n)]
+                y = [tuple(draw() for _ in range(n)) for _ in range(n)]
+                zero = x[0][0] * 0
+
+                def f(a, b):
+                    return multiply(H, x[a], y[b])
+
+                for i in range(n):
+                    got = _sweedler(H, i, f, zero)
+                    want = dense_sweedler(H, i, f, zero)
+                    assert got == want, (ring, i)
+                    assert [type(v) for v in got] == [type(v) for v in want], (ring, i)
+                    assert list(map(str, got)) == list(map(str, want)), (ring, i)
+
+
+def test_sparse_coproduct_is_not_a_field(h4):
+    # the cached coproduct terms leave equality, hashing and JSON alone
+    assert "_comul_terms" not in {f.name for f in dataclasses.fields(HopfStructure)}
+    fresh = HopfStructure(**{f.name: getattr(h4, f.name) for f in dataclasses.fields(h4)})
+    _sweedler(h4, 2, lambda a, b: basis_element(h4, a), 0)
+    assert "_comul_terms" in vars(h4) and "_comul_terms" not in vars(fresh)
+    assert fresh == h4 and hash(fresh) == hash(h4) and repr(fresh) == repr(h4)
+    assert hopf_to_json(fresh) == hopf_to_json(h4)
+    assert h4._comul_terms[2] == ((1, 2, 1), (2, 0, 1))
 
 
 def test_json_roundtrip_byte_identical(h4):
