@@ -312,17 +312,13 @@ def _weak_system(parameterization: str):
 
 @lru_cache(maxsize=None)
 def _cached_system(mode: str, parameterization: str):
-    """The table, registry and constraint system of one classify job.  The
-    weak suite is the relaxed one plus unitality, and generation dedupes in
-    suite order, so the relaxed system is the weak one without its
-    unitality constraints, as the same objects in the same order."""
+    """One job's table, registry and system.  Generation dedupes in suite
+    order, so the relaxed equations are the weak ones up to unitality's."""
     if mode not in ("relaxed", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     op, reg, system = _weak_system(parameterization)
     if mode == "relaxed":
-        system = ConstraintSystem(
-            reg, [c for c in system.equations if c.axiom != "unitality"]
-        )
+        system = ConstraintSystem(reg, [c for c in system.equations if c.axiom != "unitality"])
     return op, reg, system
 
 

@@ -16,9 +16,10 @@ classifier uses.
 The constraints are integer term lists over interned monomials in 32
 slots (``8*row + k``, read off the classifier's unknown table), converted
 once per process from the weak generation; the relaxed system is the same
-term lists without unitality's.  A search starts from them unreduced.  Each chosen row is folded (substituted, mod p)
-into the constraints of every deeper row once, and the folded system is
-carried down the recursion, so all children of a prefix share that work.
+term lists without unitality's.  A search starts from them unreduced.
+Each chosen row is folded (substituted, mod p) into the constraints of
+every deeper row once, and the folded system is carried down the
+recursion, so all children of a prefix share that work.
 A depth whose constraints include one folded to a nonzero constant is
 dead; a prefix with a dead depth is pruned at once, its next row neither
 scanned nor descended into, since no later row can change a constant.  A
@@ -125,11 +126,10 @@ def _intern(mono: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _generator_terms() -> tuple:
-    """The weak constraints of the generator parameterization, converted
-    once per process for both modes, as ``(axiom, depth, terms)`` in
-    generation order: ``terms`` is the integer term list ``[(coeff, mono
-    id), ...]`` and ``depth`` the highest row occurring in its support.  The
-    unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
+    """The weak constraints of the generator parameterization as ``(axiom,
+    depth, terms)`` in generation order: ``terms`` is the integer term list
+    ``[(coeff, mono id), ...]`` and ``depth`` the highest row in its
+    support.  The unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
     ``row |> v`` slot ``8*row + 4 + k``, read off the unknown table, so
     ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
     that row's candidate tuple."""
@@ -157,13 +157,10 @@ def _generator_terms() -> tuple:
 
 @lru_cache(maxsize=None)
 def _system_terms(mode: str) -> dict:
-    """The constraints of ``mode`` as term lists grouped by depth, in
-    generation order.  The relaxed axioms are the weak ones without
-    unitality, so the relaxed system is :func:`_generator_terms` without its
-    unitality term lists (all at depth 0); both modes share the term lists.
-    A search starts from this system as it is: :func:`row_candidates`
-    reduces row 0's constraints mod p as it reads them, and :func:`_fold`
-    the deeper ones."""
+    """The term lists of ``mode`` grouped by depth, in generation order;
+    relaxed mode drops unitality's, all at depth 0.  A search starts from
+    this system as it is: :func:`row_candidates` reduces row 0's
+    constraints mod p as it reads them, and :func:`_fold` the deeper ones."""
     if mode not in ("relaxed", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
