@@ -1,25 +1,32 @@
 """The depth-first branch solver for polynomial constraint systems.
 
-Its only moves are
+Its only moves, each tried only when the ones before it do not apply, are
 
   (a) prune a branch containing a nonzero constant equation,
-  (b) eliminate a variable that occurs linearly with a nonzero constant
-      coefficient (smallest equation support first, ties by lowest id),
+  (b) eliminate, through a linear equation (total degree 1), a variable with
+      a nonzero constant coefficient (smallest equation support first, ties
+      by lowest id),
   (c) split the lowest-canonical-order equation that factors (monomial
       content or a rational-root quadratic), one disjoint case per factor,
+  (d) eliminate, ranked as in (b), a variable that occurs linearly with a
+      nonzero constant coefficient in a nonlinear equation,
 
 until no equations remain (resolved), nothing applies (unresolved), or the
-branch dies (inconsistent).  Every resolved branch is re-verified by exact
-substitution into the original system; a verification failure is a hard
-error, never a silent drop.
+branch dies (inconsistent).  A nonlinear elimination waits for the splits:
+it substitutes a polynomial into every equation holding its variable, which
+swells the store, while each case of a split is a smaller system ("factor
+early", D. Wang, *Elimination Methods*, Springer 2001).  Every resolved
+branch is re-verified by exact substitution into the original system; a
+verification failure is a hard error, never a silent drop.
 
 A branch's equations form a store: a list sorted only where its order is
-read, before move (c) picks a split and at a leaf.  There ``_prepare``
-stable-sorts it by ``Poly.canon_key`` and keeps the first equation of each
-key (rational multiples share a key).  In between, an elimination or a
-cancellation replaces each changed equation in its list position and drops
-zeros, and a split child's factor comes last.  Move (b) reads ``canon_key``
-only on a tie; equations of one key give the same elimination.
+read, before move (c) picks a split, which move (d) then reads too, and at
+a leaf.  There ``_prepare`` stable-sorts it by ``Poly.canon_key`` and keeps
+the first equation of each key (rational multiples share a key).  In
+between, an elimination or a cancellation replaces each changed equation in
+its list position and drops zeros, and a split child's factor comes last.
+Moves (b) and (d) read ``canon_key`` only on a tie; equations of one key
+give the same elimination.
 
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs produce identical branches.
@@ -108,15 +115,19 @@ def _prepare(equations) -> list[Poly]:
     ]
 
 
-def _elimination(eqs, solvable_set) -> tuple | None:
-    """Move (b)'s choice: the ``(v, a, eq)`` with ``eq = a*x_v + rest``,
-    ``a`` constant and ``rest`` free of ``x_v``, least in
-    ``(len(eq.support), v, eq.canon_key())``, or ``None``.  The key is read
-    only on a tie in the first two; of equal keys the first in list order
-    stays, and any of them gives the same ``x_v := x_v - eq/a``."""
+def _elimination(eqs, solvable_set, linear: bool) -> tuple | None:
+    """Move (b)'s choice when ``linear``, else move (d)'s: among the
+    equations of total degree 1, or of higher degree, the ``(v, a, eq)``
+    with ``eq = a*x_v + rest``, ``a`` constant and ``rest`` free of ``x_v``,
+    least in ``(len(eq.support), v, eq.canon_key())``, or ``None``.  The key
+    is read only on a tie in the first two; of equal keys the first in list
+    order stays, and any of them gives the same ``x_v := x_v - eq/a``."""
     best = None
     for eq in eqs:
-        for v, a in eq.linear_candidates():
+        cands = eq.linear_candidates()
+        if not cands or (eq.total_degree() == 1) != linear:
+            continue
+        for v, a in cands:
             if solvable_set is None or v in solvable_set:
                 # candidates come by ascending id, so v is this equation's best
                 rank = (len(eq.support), v)
@@ -225,8 +236,17 @@ def solve(
                 w for w in watch if not (w.is_constant() and not w.is_zero())
             )
 
-            # (b) linear elimination with a constant coefficient
-            best = _elimination(eqs, solvable_set)
+            # (b) elimination through a linear equation; when there is none,
+            # (c) scans for a split, and only when nothing splits does (d)
+            # eliminate through a nonlinear equation
+            best = _elimination(eqs, solvable_set, linear=True)
+            if best is None:
+                eqs = _prepare(eqs)
+                split = next(
+                    ((eq, factors) for eq in eqs if (factors := try_factor_split(eq))), None
+                )
+                if split is None:
+                    best = _elimination(eqs, solvable_set, linear=False)
             if best is not None:
                 v, a, eq = best
                 # eq = a*x_v + rest, so x_v := -rest/a = x_v - eq/a
@@ -250,22 +270,10 @@ def solve(
 
             # (c) factor split on the lowest-canonical-order splittable
             # equation; children are disjoint cases.
-            eqs = _prepare(eqs)
-            split = None
-            for eq in eqs:
-                factors = try_factor_split(eq)
-                if factors:
-                    deduped = []
-                    keys = set()
-                    for f in factors:
-                        k = f.canon_key()
-                        if k not in keys:
-                            keys.add(k)
-                            deduped.append(f)
-                    split = (eq, deduped)
-                    break
             if split is not None:
                 eq, factors = split
+                keys = [f.canon_key() for f in factors]
+                factors = [f for i, f in enumerate(factors) if keys[i] not in keys[:i]]
                 if stats["nodes"] + len(factors) > max_branches:
                     leaf("unresolved", assign, eqs, "limit exceeded", trace)
                     break

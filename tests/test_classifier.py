@@ -309,16 +309,16 @@ def case_tree(branches) -> list[dict]:
 # classify solve; the readable record is about 3 MB over the four jobs
 CASE_TREE_SHA256 = {
     "relaxed_result": (
-        "466d6ab36bb4e0f52a5221ea808e1303e2b693d1672cf3cce5d083b0489fa9da"
+        "ec6bf6bd5611b701d71a8c037c3f762475f48a57139df25fabeb6bf7bd665c52"
     ),
     "full64_result": (
-        "8f93768423aa31fe6eb5fdd9b02678f403097f509a551221c9463ceb95003426"
+        "bc6206f746cbe4ead7127018540f62396e80b54df0ef723befbb57900112eafc"
     ),
     "weak_result": (
-        "120cada410e7be33751591b86b026501c0127ec124db2c4fc82c5e6546e56866"
+        "c493c545a4e0986223fedbbd8066ebd16e9e6a2916a5c10520c4fe6479ab9ed2"
     ),
     "weak_full64_result": (
-        "b11c96989d3c0133951eadf1c2f39a18be9dfb7f1af21cced3f87f2cc4931008"
+        "784f94c3b5a634b2c5204a3550fbf9d53e7b96ab1c707ef33fca9ad946dfd969"
     ),
 }
 

@@ -16,8 +16,8 @@ from posthopf.triangleop import family_table, op_to_json_dict
 # the same arguments (stdout in ``*.txt``, the --json/--out payload in
 # ``*.json``).  A refactor must reproduce them; they are never regenerated to
 # make a change pass.  The one exception is the ``stats`` object of an
-# enumerate payload, which counts the search's work: a change to the search
-# re-records those counts, and nothing else, and says so.
+# enumerate or classify payload, which counts the search's work: a change to
+# the search re-records those counts, and nothing else, and says so.
 GOLDEN = Path(__file__).parent / "golden"
 
 
