@@ -3,21 +3,20 @@
 Its only moves, each tried only when the ones before it do not apply, are
 
   (a) prune a branch containing a nonzero constant equation,
-  (b) eliminate, through a linear equation (total degree 1), a variable with
-      a nonzero constant coefficient (smallest equation support first, ties
-      by lowest id),
+  (b) eliminate a variable that occurs linearly, with a nonzero constant
+      coefficient, in a linear equation (smallest equation support first,
+      ties by lowest id),
   (c) split the lowest-canonical-order equation that factors (monomial
       content or a rational-root quadratic), one disjoint case per factor,
-  (d) eliminate, ranked as in (b), a variable that occurs linearly with a
-      nonzero constant coefficient in a nonlinear equation,
+  (d) the elimination of (b) through a nonlinear equation,
 
 until no equations remain (resolved), nothing applies (unresolved), or the
-branch dies (inconsistent).  A nonlinear elimination waits for the splits:
-it substitutes a polynomial into every equation holding its variable, which
-swells the store, while each case of a split is a smaller system ("factor
-early", D. Wang, *Elimination Methods*, Springer 2001).  Every resolved
-branch is re-verified by exact substitution into the original system; a
-verification failure is a hard error, never a silent drop.
+branch dies (inconsistent).  A nonlinear elimination waits for the splits
+because its substitution swells the store, while a split makes smaller
+cases ("factor early", D. Wang, *Elimination Methods*, Springer 2001).
+Every resolved branch is re-verified by exact substitution into the
+original system; a verification failure is a hard error, never a silent
+drop.
 
 A branch's equations form a store: a list sorted only where its order is
 read, before move (c) picks a split, which move (d) then reads too, and at
@@ -125,7 +124,8 @@ def _elimination(eqs, solvable_set, linear: bool) -> tuple | None:
     best = None
     for eq in eqs:
         cands = eq.linear_candidates()
-        if not cands or (eq.total_degree() == 1) != linear:
+        # every variable of an equation is a candidate iff it is linear
+        if not cands or (len(cands) == len(eq.support)) != linear:
             continue
         for v, a in cands:
             if solvable_set is None or v in solvable_set:
