@@ -124,7 +124,7 @@ def _elimination(eqs, solvable_set, linear: bool) -> tuple | None:
     best = None
     for eq in eqs:
         cands = eq.linear_candidates()
-        # every variable of an equation is a candidate iff it is linear
+        # an equation is linear exactly when all its variables are candidates
         if not cands or (len(cands) == len(eq.support)) != linear:
             continue
         for v, a in cands:
