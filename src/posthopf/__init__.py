@@ -1,7 +1,7 @@
 """Exact structure-constant computations for relaxed and weak post-Hopf
 operations on Sweedler's four-dimensional Hopf algebra."""
 
-from .exactmath import FpElement, Rational, kernel_basis, rref
+from .exactmath import Rational, kernel_basis, rref
 from .hopfcore import (
     AxiomReport,
     HopfStructure,
@@ -40,7 +40,6 @@ __all__ = [
     "EnumerationReport",
     "EnumerationTask",
     "FAMILY_LABELS",
-    "FpElement",
     "GeneratorTable",
     "HopfStructure",
     "Poly",

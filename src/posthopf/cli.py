@@ -36,7 +36,6 @@ from .triangleop import (
     check_unitality,
     family_table,
     op_from_json_dict,
-    op_ring,
     op_to_json_dict,
 )
 from . import classifier as _classifier
@@ -221,9 +220,8 @@ def cmd_verify(args) -> RunReport:
             raise ValueError(
                 f"operation dimension {op.dim} does not match the Hopf structure's {H.dim}"
             )
-        ring = op_ring(op)
-        if isinstance(ring, tuple):
-            _check_reducible(H, ring[1])
+        if op.prime is not None:
+            _check_reducible(H, op.prime)
         suite = _op_suite(H, op, args.mode)
         payload["operation"] = {}
         for name, report in suite.items():

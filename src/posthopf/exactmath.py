@@ -5,14 +5,17 @@ Rationals are plain :class:`fractions.Fraction` values (re-exported as
 everywhere in this package (reduced fraction, positive denominator, zero as
 0/1) and serialize as ``"p/q"`` / ``"p"`` via ``str``.
 
-Prime fields are restricted to odd characteristic: the anticommutation
-relation of the Sweedler algebra degenerates mod 2, so 2 is never a useful
-modulus here.
+An element of a prime field F_p is a plain ``int`` in 0..p-1, with the
+prime carried by whatever holds it; :func:`rational_mod_p` is the reduction
+ring map from the rationals whose denominator p does not divide.  Prime
+fields are restricted to odd characteristic: the anticommutation relation of
+the Sweedler algebra degenerates mod 2, so 2 is never a useful modulus here.
 
 Matrices are nested sequences of field elements (all entries from one
-field).  ``rref`` and ``kernel_basis`` work for any field with exact
-``+ - * /`` and equality against ``0``; ``int`` entries are read as
-rationals, so their rows come out as Fractions.
+field).  ``rref`` works for any field with exact ``+ - * /`` and equality
+against ``0``, and over F_p on ints given the prime; ``int`` entries
+without a prime are read as rationals, so their rows come out as Fractions.
+``kernel_basis`` works over the rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
-    "FpElement",
     "is_odd_prime",
     "parse_rational",
     "rational_mod_p",
@@ -68,16 +70,6 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-_KNOWN_PRIMES: set[int] = set()
-
-
-def _require_odd_prime(p: int) -> None:
-    if p not in _KNOWN_PRIMES:
-        if not isinstance(p, int) or not is_odd_prime(p):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
-        _KNOWN_PRIMES.add(p)
-
-
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
@@ -91,126 +83,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-class FpElement:
-    """An element of the prime field F_p (p an odd prime) stored as the
-    canonical residue in [0, p).
-
-    Arithmetic accepts ints and Fractions on either side, reducing them
-    modulo p, so F_p vectors combine directly with rational structure
-    constants.  Elements of different moduli never mix.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _require_odd_prime(modulus)
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other) -> "FpElement | None":
-        if isinstance(other, FpElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed prime fields: F_{self.modulus} and F_{other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.modulus)
-        if isinstance(other, Fraction):
-            return rational_mod_p(other, self.modulus)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __neg__(self):
-        return FpElement(-self.value, self.modulus)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return FpElement(pow(self.value, n, self.modulus), self.modulus)
-
-    def inv(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.modulus}")
-        return FpElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if isinstance(other, Fraction):
-            if other.denominator % self.modulus == 0:
-                return False
-            return self == rational_mod_p(other, self.modulus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FpElement({self.value}, {self.modulus})"
-
-
-def rational_mod_p(q: Fraction | int, p: int) -> FpElement:
-    """Image of an integer or Fraction under the reduction ring map to F_p."""
+def rational_mod_p(q: Fraction | int, p: int) -> int:
+    """Image of an integer or Fraction under the reduction ring map
+    Z_(p) -> F_p, as an int in 0..p-1."""
     if isinstance(q, int):
-        return FpElement(q, p)
+        return q % p
     den = q.denominator
     if den % p == 0:
         raise ZeroDivisionError(f"denominator of {q} is divisible by {p}")
-    return FpElement(q.numerator * pow(den, -1, p), p)
-
-
-def _one_like(x):
-    if isinstance(x, FpElement):
-        return FpElement(1, x.modulus)
-    return Fraction(1)
+    return q.numerator * pow(den, -1, p) % p
 
 
 def rref(matrix, modulus: int | None = None):
@@ -219,7 +100,7 @@ def rref(matrix, modulus: int | None = None):
     Returns ``(reduced_rows, pivot_columns)``; the input is not modified.
     The result is the unique RREF, so it is deterministic across runs.
     With a prime ``modulus`` p and entries that are ints in 0..p-1, the
-    result is the RREF over F_p in such ints, with no field elements built.
+    result is the RREF over F_p in such ints.
     """
     rows = [list(r) for r in matrix]
     nr = len(rows)
@@ -255,21 +136,20 @@ def rref(matrix, modulus: int | None = None):
 
 
 def kernel_basis(matrix):
-    """Canonical null-space basis read off the RREF: each free column in
-    increasing order contributes one vector with a 1 in that coordinate."""
+    """Canonical null-space basis over the rationals, read off the RREF:
+    each free column in increasing order contributes one vector with a 1 in
+    that coordinate."""
     if not matrix:
         raise ValueError("kernel_basis needs at least one row")
     red, pivots = rref(matrix)
     nc = len(red[0])
-    one = _one_like(matrix[0][0])
-    zero = one * 0
     pivot_set = set(pivots)
     basis = []
     for f in range(nc):
         if f in pivot_set:
             continue
-        v = [zero] * nc
-        v[f] = one
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][f]
         basis.append(v)

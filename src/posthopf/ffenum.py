@@ -29,12 +29,15 @@ over F_p with the two counit pins, and the affine solution space is walked
 depth first, one free slot per level, each other constraint checked as
 soon as the slots it reads are fixed (forward checking).
 
-The re-check of a completed table runs on its integer lift: the chosen
-residues (ints in 0..p-1) are completed and checked in int arithmetic, with
-the Sweedler algebra's int structure constants.  Every axiom side is an
+F_p values are plain ints in 0..p-1 throughout.  A completed table is
+the chosen residues completed in int arithmetic and reduced mod p, an F_p
+table that carries its prime, and it is re-checked by the same axiom suite
+``verify`` runs: in int arithmetic, with the Sweedler algebra's int
+structure constants, each residual reduced mod p.  Every axiom side is an
 integer polynomial in the table entries and those constants, and reduction
-Z -> F_p is a ring map, so the table passes over F_p exactly when p divides
-every integer residual.  Only a passing table is reduced to F_p entries.
+Z -> F_p is a ring map, so that is the verdict over F_p.  The symbolic
+families are evaluated over the rationals at each parameter value and then
+reduced the same way.
 
 The oracle stays independent of the branch solver: it shares the constraint
 system that ``classifier`` generates, but none of the solver's moves
@@ -48,13 +51,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import classifier
-from .exactmath import FpElement, is_odd_prime, rational_mod_p, rref
+from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
-from .multipoly import Poly
 from .triangleop import (
     GeneratorTable,
     TriangleOp,
@@ -173,10 +174,11 @@ def _system_terms(mode: str) -> dict:
 def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     """Substitute the chosen ``values`` of ``row`` into the constraints of
     every deeper depth of ``system`` (depth -> list of term lists, as in
-    :func:`_system_terms`, or None for a depth already infeasible).  The
-    result holds the depths beyond ``row`` with coefficients reduced mod p
-    and vanishing constraints dropped; a depth becomes None as soon as one of
-    its constraints folds to a nonzero constant."""
+    :func:`_system_terms`, none of them dead).  The result holds the depths
+    beyond ``row`` with coefficients reduced mod p and vanishing constraints
+    dropped; a depth becomes None, dead, as soon as one of its constraints
+    folds to a nonzero constant.  The search never folds a system with a
+    dead depth: it prunes that prefix first."""
     # each local monomial's value, 0 at once when one of its slots is 0
     zeros = sum(1 << k for k, x in enumerate(values) if not x)
     local = [
@@ -187,9 +189,6 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     folded: dict = {}
     for depth, constraints in system.items():
         if depth <= row:
-            continue
-        if constraints is None:
-            folded[depth] = None
             continue
         out = []
         for terms in constraints:
@@ -307,22 +306,19 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
 
 def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None:
     """The completed table of the chosen residues ``rows`` as an F_p table,
-    or None when it fails the mode's axioms.  The axioms are checked on the
-    integer lift, where a table passes over F_p exactly when p divides every
-    residual (see the module docstring)."""
+    or None when it fails the mode's axioms.  The completion is computed on
+    ints and reduced mod p (see the module docstring)."""
     lifted = extend_generators(
         H4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4)))
     )
-    for report in axiom_suite(H4, lifted, mode).values():
-        if any(entry.residual % p for entry in report.entries):
-            return None
-    return TriangleOp(
+    op = TriangleOp(
         4,
-        tuple(
-            tuple(tuple(FpElement(x, p) for x in cell) for cell in row)
-            for row in lifted.table
-        ),
+        tuple(tuple(tuple(x % p for x in cell) for cell in row) for row in lifted.table),
+        p,
     )
+    if all(report.passed for report in axiom_suite(H4, op, mode).values()):
+        return op
+    return None
 
 
 def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
@@ -373,19 +369,12 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
 # -- comparison against the symbolic families --------------------------------------
 
 def _op_mod_p(op: TriangleOp, p: int, assignment: dict[int, int]) -> TriangleOp:
-    fp_assign = {vid: FpElement(v, p) for vid, v in assignment.items()}
-
-    def entry_mod(entry):
-        if isinstance(entry, Poly):
-            if entry.support:
-                return entry.evaluate_mod_p(fp_assign)
-            return rational_mod_p(entry.constant_value(), p)
-        return rational_mod_p(Fraction(entry), p)
-
+    """The symbolic table ``op`` at ``assignment``, reduced to F_p."""
     table = tuple(
-        tuple(tuple(entry_mod(e) for e in cell) for cell in row) for row in op.table
+        tuple(tuple(rational_mod_p(e.evaluate(assignment), p) for e in cell) for cell in row)
+        for row in op.table
     )
-    return TriangleOp(op.dim, table)
+    return TriangleOp(op.dim, table, p)
 
 
 def family_evaluations(families: dict[str, TriangleOp], p: int) -> dict[str, tuple]:

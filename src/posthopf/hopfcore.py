@@ -4,16 +4,18 @@ A :class:`HopfStructure` fixes a basis and stores the multiplication and
 comultiplication tensors, unit and counit vectors, and the antipode matrix,
 all over exact rationals.  Elements are coefficient tuples over any exact
 ring that combines with ints and Fractions (Fraction itself, int,
-prime-field elements, polynomials), so the same bilinear machinery serves
-numeric, finite-field and symbolic computations.
+polynomials), so the same bilinear machinery serves numeric and symbolic
+computations.  F_p is computed on integer lifts: an F_p vector is ints in
+0..p-1, the contractions run in int (or, with ``Fraction`` constants,
+rational) arithmetic, and a check reduces each residual mod p at the end.
 
 The constants of :func:`sweedler_h4` are all 0 or +-1 and are stored as
 ``int``, as are the coordinates of :func:`basis_element`, so contractions
-of int vectors stay in int arithmetic; the F_p oracle's integer leaf check
-relies on that, where ``Fraction`` constants would send every product
-through ``Fraction``.  A structure read from a JSON payload holds
-``Fraction`` constants; the two compare and hash equal, and both serialize
-to the same strings.
+of int vectors stay in int arithmetic; the checks of F_p tables, the F_p
+oracle's leaf check among them, rely on that, where ``Fraction`` constants
+would send every product through ``Fraction``.  A structure read from a
+JSON payload holds ``Fraction`` constants; the two compare and hash equal,
+and both serialize to the same strings.
 
 That machinery is three private kernels, which ``triangleop`` shares:
 ``_bilinear`` contracts a structure tensor with two coefficient vectors
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactmath import kernel_basis, parse_rational
+from .exactmath import kernel_basis, parse_rational, rational_mod_p
 from .multipoly import VarRegistry
 from .solver import Constraint, ConstraintSystem, solve
 
@@ -118,12 +120,20 @@ class AxiomReport:
 
 
 class _ReportBuilder:
-    def __init__(self):
+    """Collects the nonzero residuals of one check.  Given a ``prime`` p, each
+    residual is an integer or rational lift of an F_p value and is reduced
+    mod p before it is tested: reduction from the rationals whose
+    denominator p does not divide is a ring map, so that is exact."""
+
+    def __init__(self, prime: int | None = None):
+        self.prime = prime
         self.entries: list[AxiomEntry] = []
         self.checks = 0
 
     def residual(self, axiom: str, indices: tuple[int, ...], value) -> None:
         self.checks += 1
+        if value != 0 and self.prime is not None:  # 0 reduces to 0
+            value = rational_mod_p(value, self.prime)
         if value != 0:
             self.entries.append(AxiomEntry(axiom, indices, value))
 

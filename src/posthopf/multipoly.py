@@ -49,7 +49,7 @@ from functools import lru_cache, reduce
 from itertools import compress, count
 from operator import or_
 
-from .exactmath import FpElement, parse_rational, rational_mod_p
+from .exactmath import parse_rational
 
 __all__ = [
     "VarRegistry", "Poly", "parse_poly", "compose_many", "try_factor_split", "MAX_DEGREE",
@@ -421,31 +421,6 @@ class Poly:
                 val *= Fraction(assignment[v]) ** e
             total += val
         return total
-
-    def evaluate_mod_p(self, assignment: dict[int, FpElement]) -> FpElement:
-        """Exact image under reduction to F_p plus the given assignment; the
-        assignment must cover every occurring variable and share one modulus."""
-        p = None
-        for x in assignment.values():
-            if p is None:
-                p = x.modulus
-            elif x.modulus != p:
-                raise ValueError("assignment mixes prime fields")
-        if p is None:
-            if self.support:
-                raise ValueError("empty assignment for non-constant polynomial")
-            raise ValueError("cannot infer modulus from an empty assignment")
-        total = 0
-        for mono, c in self._terms.items():
-            val = rational_mod_p(c, p).value
-            for v, e in _mono_items(mono):
-                if v not in assignment:
-                    raise ValueError(
-                        f"no value for {self.registry.name_of(v)!r}"
-                    )
-                val = val * pow(assignment[v].value, e, p) % p
-            total = (total + val) % p
-        return FpElement(total, p)
 
     def content_vars(self) -> tuple[int, ...]:
         """Variables dividing every term; cached."""

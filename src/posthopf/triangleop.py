@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .exactmath import FpElement, parse_rational
+from .exactmath import is_odd_prime, parse_rational
 from .hopfcore import (
     AxiomReport,
     HopfStructure,
@@ -60,10 +60,16 @@ FAMILY_LABELS = ("i", "ii", "iii", "iv", "v", "vi")
 
 @dataclass(frozen=True)
 class TriangleOp:
-    """table[i][j] is the coefficient vector of ``e_i |> e_j``."""
+    """table[i][j] is the coefficient vector of ``e_i |> e_j``.
+
+    A table over F_p carries its ``prime`` p and holds ints in 0..p-1.  The
+    checks read it as an integer table and reduce each residual mod p, which
+    gives the F_p verdict exactly (see :class:`hopfcore._ReportBuilder`).
+    """
 
     dim: int
     table: tuple
+    prime: int | None = None
 
     def __post_init__(self):
         n = self.dim
@@ -106,7 +112,7 @@ def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     ``eps(x) eps(y)``, for all basis pairs."""
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder()
+    rb = _ReportBuilder(op.prime)
     zero = op.table[0][0][0] * 0
     deltas = [comultiply(H, basis_element(H, i)) for i in range(n)]
     for i in range(n):
@@ -125,7 +131,7 @@ def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y z) = (x1 |> y)(x2 |> z)`` on all basis triples."""
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder()
+    rb = _ReportBuilder(op.prime)
     T = op.table
     zero = T[0][0][0] * 0
     for i in range(n):
@@ -141,7 +147,7 @@ def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> (y |> z) = (x1 (x2 |> y)) |> z`` on all basis triples."""
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder()
+    rb = _ReportBuilder(op.prime)
     T = op.table
     zero = T[0][0][0] * 0
     e = [basis_element(H, a) for a in range(n)]
@@ -162,7 +168,7 @@ def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``1 |> x = x`` on all basis elements (the extra axiom of the weak,
     as opposed to relaxed, setting)."""
     _check_dim(H, op)
-    rb = _ReportBuilder()
+    rb = _ReportBuilder(op.prime)
     zero = op.table[0][0][0] * 0
     for j in range(H.dim):
         acted = _linear(H.unit, [row[j] for row in op.table], zero)
@@ -174,7 +180,7 @@ def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> 1 = eps(x) 1``; a consequence of the other axioms, checked as
     its own property."""
     _check_dim(H, op)
-    rb = _ReportBuilder()
+    rb = _ReportBuilder(op.prime)
     zero = op.table[0][0][0] * 0
     for i in range(H.dim):
         val = _linear(H.unit, op.table[i], zero)
@@ -308,30 +314,21 @@ def table_params(op: TriangleOp) -> dict[int, str]:
 
 def op_ring(op: TriangleOp):
     """Uniform coefficient ring of the table: "rational", "poly", or
-    ("prime", p)."""
+    ("prime", p) for a table that carries a prime."""
+    if op.prime is not None:
+        return ("prime", op.prime)
     kinds = set()
-    prime = None
     for row in op.table:
         for cell in row:
             for entry in cell:
                 if isinstance(entry, Poly):
                     kinds.add("poly")
-                elif isinstance(entry, FpElement):
-                    kinds.add("prime")
-                    if prime is None:
-                        prime = entry.modulus
-                    elif prime != entry.modulus:
-                        raise ValueError("table mixes prime fields")
                 elif isinstance(entry, (Fraction, int)):
                     kinds.add("rational")
                 else:
                     raise ValueError(f"unsupported entry type {type(entry)!r}")
-    if kinds == {"poly"}:
-        return "poly"
-    if kinds == {"prime"}:
-        return ("prime", prime)
-    if kinds == {"rational"}:
-        return "rational"
+    if len(kinds) == 1:
+        return kinds.pop()
     raise ValueError(f"table mixes coefficient rings: {sorted(kinds)}")
 
 
@@ -378,12 +375,16 @@ def op_from_json_dict(data: dict) -> TriangleOp:
         for row in rows
     ):
         raise ValueError("operation table must be a list of rows of coefficient lists")
+    p = None
     if isinstance(ring, dict):
         p = ring.get("prime")
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"F_p ring tag needs an integer prime, got {ring!r}")
+        # before any entry is reduced: a zero prime would raise ZeroDivisionError
+        if not is_odd_prime(p):
+            raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
         table = tuple(
-            tuple(tuple(FpElement(_parse_residue(e), p) for e in cell) for cell in row)
+            tuple(tuple(_parse_residue(e) % p for e in cell) for cell in row)
             for row in rows
         )
     elif ring == "rational":
@@ -408,7 +409,7 @@ def op_from_json_dict(data: dict) -> TriangleOp:
         )
     else:
         raise ValueError(f"unknown ring tag {ring!r}")
-    return TriangleOp(n, table)
+    return TriangleOp(n, table, p)
 
 
 def op_serial(op: TriangleOp) -> str:

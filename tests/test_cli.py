@@ -144,6 +144,7 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         {"dim": True, "ring": "rational", "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "rational", "table": [[["1\n", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": {"prime": 2**89 - 1}, "table": [[["0"] * 4] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 0}, "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["a^40000", "0", "0", "0"]] * 4] * 4},
     ],
     ids=[
@@ -151,7 +152,7 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         "dim-mismatch", "fp-no-prime", "fp-string-prime", "fp-list-entry",
         "fp-float-entries", "fp-int-entries", "fp-decimal-string",
         "float-dim", "string-dim", "bool-dim", "trailing-newline",
-        "fp-prime-too-large", "poly-degree-too-large",
+        "fp-prime-too-large", "fp-zero-prime", "poly-degree-too-large",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):

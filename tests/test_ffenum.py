@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from posthopf import classifier, ffenum
 from posthopf.classifier import builtin_families
-from posthopf.exactmath import FpElement, rref
+from posthopf.exactmath import rational_mod_p, rref
 from posthopf.ffenum import (
     EnumerationTask,
     _fold,
@@ -28,7 +28,6 @@ from posthopf.hopfcore import sweedler_h4
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
     GeneratorTable,
-    axiom_suite,
     check_counit_absorption,
     check_unitality,
     extend_generators,
@@ -59,12 +58,14 @@ def identity_row(p):
 
 def candidates(p, mode, row, assigned):
     """The candidates of ``row`` with the ``assigned`` rows folded into the
-    system of :func:`_system_terms`, or [] when that leaves the row's own
-    depth dead."""
-    folded = _system_terms(mode)
+    constraints of its depth in :func:`_system_terms`, or [] as soon as a
+    fold leaves that depth dead."""
+    folded = {row: _system_terms(mode)[row]}
     for r in range(row):
         folded = _fold(p, folded, r, assigned[r])
-    return [] if folded[row] is None else row_candidates(p, row, folded)
+        if folded[row] is None:
+            return []
+    return row_candidates(p, row, folded)
 
 
 def test_row0_candidates_exclude_minus_one():
@@ -318,10 +319,31 @@ def residue_matrices(draw):
 @example((5, [[1, 1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0, 0, 0]]))
 @example((7, [[2, 4, 6, 1, 3, 5, 0, 2, 4]] * 3 + [[0] * 9]))
 def test_rref_mod_p_matches_rref_over_fp(case):
-    # the elimination of row_candidates, on ints mod p
+    # the elimination of row_candidates, on ints mod p, against the generic
+    # elimination over a field class of its own
+
+    class Fp:
+        def __init__(self, value):
+            self.value = value % p
+
+        def __add__(self, other):
+            return Fp(self.value + other.value)
+
+        def __sub__(self, other):
+            return Fp(self.value - other.value)
+
+        def __mul__(self, other):
+            return Fp(self.value * other.value)
+
+        def __truediv__(self, other):
+            return Fp(self.value * pow(other.value, -1, p))
+
+        def __eq__(self, other):
+            return self.value == (other.value if isinstance(other, Fp) else other % p)
+
     p, rows = case
     reduced, pivots = rref(rows, p)
-    want_rows, want_pivots = rref([[FpElement(x, p) for x in r] for r in rows])
+    want_rows, want_pivots = rref([[Fp(x) for x in r] for r in rows])
     assert pivots == want_pivots
     assert reduced == [[x.value for x in r] for r in want_rows]
     assert all(type(x) is int and 0 <= x < p for r in reduced for x in r)
@@ -336,11 +358,13 @@ def test_rref_mod_p_matches_rref_over_fp(case):
 )
 def test_fold_off_the_search_path(p, mode, last, rng):
     # rows drawn at random, denser than any the search visits, are folded
-    # through rows 0..last.  At random completions, each folded constraint
-    # takes the value of the unreduced constraint it came from, at the full
-    # point mod p: the nonzero value vectors of a depth agree as multisets
-    # (a constraint dropped as vanishing has the zero vector).  A dead depth
-    # holds a constraint with one and the same nonzero value everywhere.
+    # through rows 0..last, stopping, as the search does, at the first fold
+    # that leaves a depth dead.  At random completions, each folded
+    # constraint takes the value of the unreduced constraint it came from, at
+    # the full point mod p: the nonzero value vectors of a depth agree as
+    # multisets (a constraint dropped as vanishing has the zero vector).  A
+    # dead depth holds a constraint with one and the same nonzero value
+    # everywhere.
     prefix = [tuple(rng.randrange(p) for _ in range(8)) for _ in range(last + 1)]
     completions = [
         prefix + [tuple(rng.randrange(p) for _ in range(8)) for _ in range(3 - last)]
@@ -349,11 +373,13 @@ def test_fold_off_the_search_path(p, mode, last, rng):
     folded = _system_terms(mode)
     for row, values in enumerate(prefix):
         folded = _fold(p, folded, row, values)
+        if None in folded.values():
+            break
 
     def value_vectors(constraints):
         return [tuple(evaluate(terms, rows, p) for rows in completions) for terms in constraints]
 
-    for depth in range(last + 1, 4):
+    for depth in range(row + 1, 4):
         want = value_vectors(system(mode)[depth])
         if folded[depth] is None:
             assert any(len(set(v)) == 1 and v[0] for v in want)
@@ -431,29 +457,32 @@ IDENTITY_ON_GENERATORS = (0, 1, 0, 0, 0, 0, 1, 0)
 @example((3, "weak", {0: IDENTITY_ON_GENERATORS, 1: IDENTITY_ON_GENERATORS, 2: (0,) * 8, 3: (0,) * 8}))
 @example((5, "relaxed", {0: IDENTITY_ON_GENERATORS, 1: (0, 4, 0, 0, 0, 0, 1, 0), 2: (0,) * 8, 3: (0,) * 8}))
 def test_integer_lift_agrees_with_fp_suite(case):
-    # the leaf check on the integer lift gives the F_p suite's verdict, and
-    # the lifted completion reduced mod p is the F_p completion
+    # the leaf keeps a table exactly when every constraint of the mode's
+    # system vanishes mod p at its rows, and the lifted completion reduced
+    # mod p is the classifier's unknown table evaluated at the rows
     p, mode, rows = case
     h4 = sweedler_h4()
-    fp_op = extend_generators(
-        h4,
-        GeneratorTable(
-            tuple(
-                (tuple(FpElement(x, p) for x in rows[i][:4]), tuple(FpElement(x, p) for x in rows[i][4:]))
-                for i in range(4)
-            )
-        ),
+    unknown_op, _reg = classifier.build_unknown_op(h4, "generator32")
+    assignment = {
+        unknown_op.table[i][1 + half][k].support[0]: rows[i][4 * half + k]
+        for i in range(4)
+        for half in (0, 1)
+        for k in range(4)
+    }
+    want = tuple(
+        tuple(tuple(rational_mod_p(e.evaluate(assignment), p) for e in cell) for cell in row)
+        for row in unknown_op.table
     )
     lifted = extend_generators(h4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4))))
     assert all(type(x) is int for row in lifted.table for cell in row for x in cell)
-    assert [[[x % p for x in cell] for cell in row] for row in lifted.table] == [
-        [[x.value for x in cell] for cell in row] for row in fp_op.table
-    ]
-    fp_passed = all(r.passed for r in axiom_suite(h4, fp_op, mode).values())
+    assert tuple(tuple(tuple(x % p for x in cell) for cell in row) for row in lifted.table) == want
+    satisfied = all(
+        evaluate(terms, rows, p) == 0 for terms in itertools.chain(*system(mode).values())
+    )
     leaf = _leaf(h4, p, mode, rows)
-    assert (leaf is not None) == fp_passed
+    assert (leaf is not None) == satisfied
     if leaf is not None:
-        assert op_serial(leaf) == op_serial(fp_op)
+        assert leaf.table == want and leaf.prime == p
 
 
 def test_enumeration_matches_family_evaluations_p3(enum_p3):
@@ -583,7 +612,16 @@ def test_both_modes_share_one_conversion():
 
 
 def test_fp_structures_check_exactly(enum_p3):
-    # enumerated tables carry honest F_p entries
-    op = enum_p3.structures[0]
-    entry = op.table[0][0][0]
-    assert isinstance(entry, FpElement) and entry.modulus == 3
+    # enumerated tables carry their prime and hold residues, and the checks
+    # report residues: the relaxed-only tables fail unitality mod 3
+    h4 = sweedler_h4()
+    assert all(op.prime == 3 for op in enum_p3.structures)
+    assert all(
+        type(x) is int and 0 <= x < 3
+        for op in enum_p3.structures
+        for row in op.table
+        for cell in row
+        for x in cell
+    )
+    residuals = [e.residual for op in enum_p3.structures for e in check_unitality(h4, op).entries]
+    assert residuals and all(type(r) is int and 0 < r < 3 for r in residuals)

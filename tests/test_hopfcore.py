@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from posthopf.exactmath import FpElement
 from posthopf.hopfcore import (
     HopfStructure,
     _sweedler,
@@ -261,7 +260,6 @@ def test_sweedler_kernel_matches_the_dense_sum(h4):
     rings = {
         "int": lambda: rng.randint(-3, 3),
         "fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-        "fp": lambda: FpElement(rng.randint(0, 4), 5),
         "poly": lambda: rng.randint(-2, 2) * rng.choice(xs) + rng.randint(-1, 1),
     }
     for H in (h4, hopf_from_json(hopf_to_json(h4)), z2_group_algebra(), trivial_hopf()):
