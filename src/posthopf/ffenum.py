@@ -56,6 +56,7 @@ from functools import lru_cache
 from . import classifier
 from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
+from .multipoly import Poly
 from .triangleop import (
     GeneratorTable,
     TriangleOp,
@@ -369,11 +370,13 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
 # -- comparison against the symbolic families --------------------------------------
 
 def _op_mod_p(op: TriangleOp, p: int, assignment: dict[int, int]) -> TriangleOp:
-    """The symbolic table ``op`` at ``assignment``, reduced to F_p."""
-    table = tuple(
-        tuple(tuple(rational_mod_p(e.evaluate(assignment), p) for e in cell) for cell in row)
-        for row in op.table
-    )
+    """The table ``op``, symbolic or rational, at ``assignment`` and reduced
+    to F_p."""
+
+    def reduced(entry):
+        return rational_mod_p(entry.evaluate(assignment) if isinstance(entry, Poly) else entry, p)
+
+    table = tuple(tuple(tuple(reduced(e) for e in cell) for cell in row) for row in op.table)
     return TriangleOp(op.dim, table, p)
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from posthopf.hopfcore import sweedler_h4
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
     GeneratorTable,
+    family_table,
     check_counit_absorption,
     check_unitality,
     extend_generators,
@@ -492,6 +494,10 @@ def test_enumeration_matches_family_evaluations_p3(enum_p3):
     # derived count: evaluate the six families over F_3 and deduplicate
     assert diff.expected_count == len(family_evaluations(fams, 3))
     assert enum_p3.count == diff.expected_count == 10
+    # a rational table is its own one specialization, that of its family
+    (key, value), = family_evaluations({"i": family_table("i", Fraction(1, 2))}, 3).items()
+    assert value == ("i", None)
+    assert family_evaluations({"i": fams["i"]}, 3)[key] == ("i", 2)
 
 
 def test_enumeration_matches_family_evaluations_p5(enum_p5):
