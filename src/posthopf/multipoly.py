@@ -27,12 +27,15 @@ registry are equal iff their printed forms coincide.
 
 String grammar (used in JSON payloads and reports)::
 
-    poly   := ['-'] term (('+' | '-') term)*
-    term   := coeff ('*' varpow)* | varpow ('*' varpow)*
-    coeff  := INT ['/' INT]
+    poly   := ['+' | '-'] term (('+' | '-') term)*
+    term   := rat ('*' varpow)* | varpow ('*' varpow)*
+    rat    := INT ['/' INT]
     varpow := NAME ['^' POSINT]
 
-Whitespace is insignificant.  Example: ``2*a^2 - a``.
+Whitespace is insignificant.  Example: ``2*a^2 - a``.  No rule refers to
+itself, so each rule is one regular expression built from those of the rules
+it names: ``parse_poly`` matches ``poly`` against the whole string once and
+then reads its terms and their factors.
 
 Factor splitting is deliberately limited to the shapes needed by the branch
 solver: single-variable monomial content, and univariate quadratics with
@@ -556,103 +559,38 @@ def _poly(registry: VarRegistry, terms: dict) -> Poly:
     return p
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*^]))"
+# one pattern per rule of the grammar in the module docstring; each token
+# takes the whitespace after it, so no two patterns compete for a space and
+# matching costs time linear in the length of the string
+_RAT = re.compile(r"\d+\s*(?:/\s*\d+\s*)?")
+_VARPOW = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+)\s*)?")
+_TERM = re.compile(
+    rf"(?:([+-])\s*)?((?:{_RAT.pattern}|{_VARPOW.pattern})(?:\*\s*{_VARPOW.pattern})*)"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ValueError(f"bad polynomial syntax near {tail[:20]!r}")
-        pos = m.end()
-        if m.group("rat") is not None:
-            tokens.append(("rat", m.group("rat").replace(" ", "")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
+# a term after the first must carry its sign
+_POLY = re.compile(rf"\s*{_TERM.pattern}(?:(?=[+-]){_TERM.pattern})*")
 
 
 def parse_poly(registry: VarRegistry, text: str) -> Poly:
     """Parse the string grammar in the module docstring."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial string")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take():
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError(f"polynomial ends early: {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_varpow():
-        kind, name = take()
-        if kind != "name":
-            raise ValueError(f"expected variable name, got {name!r}")
-        if name not in registry:
-            raise ValueError(f"unknown indeterminate {name!r}")
-        vid = registry.id_of(name)
-        exp = 1
-        if peek() == ("op", "^"):
-            take()
-            kind, val = take()
-            if kind != "rat" or "/" in val:
-                raise ValueError("exponent must be a positive integer")
-            exp = int(val)
+    if not _POLY.fullmatch(text):
+        raise ValueError(f"bad polynomial syntax: {text[:40]!r}")
+    terms: dict = {}
+    for term in _TERM.finditer(text):
+        coeff, factors = 1, []
+        for factor in term[2].split("*"):
+            varpow = _VARPOW.fullmatch(factor := factor.strip())
+            if varpow is None:  # the term's leading rational
+                coeff = parse_rational(factor.replace(" ", ""))
+                continue
+            name, exp = varpow.groups()
+            vid, exp = registry.id_of(name), int(exp or 1)
             if exp < 1:
                 raise ValueError("exponent must be a positive integer")
-        return vid, exp
-
-    def parse_term():
-        coeff = 1
-        exps: dict[int, int] = {}
-        kind, val = peek()
-        if kind == "rat":
-            take()
-            coeff = parse_rational(val)
-            while peek() == ("op", "*"):
-                take()
-                vid, e = parse_varpow()
-                exps[vid] = exps.get(vid, 0) + e
-        elif kind == "name":
-            vid, e = parse_varpow()
-            exps[vid] = exps.get(vid, 0) + e
-            while peek() == ("op", "*"):
-                take()
-                vid, e = parse_varpow()
-                exps[vid] = exps.get(vid, 0) + e
-        else:
-            raise ValueError(f"expected a term, got {val!r}")
-        return _poly(registry, {_pack(exps.items()): coeff} if coeff else {})
-
-    sign = 1
-    if peek() == ("op", "-"):
-        take()
-        sign = -1
-    elif peek() == ("op", "+"):
-        take()
-    acc = parse_term() * sign
-    while pos < len(tokens):
-        kind, opv = take()
-        if kind != "op" or opv not in "+-":
-            raise ValueError(f"expected '+' or '-', got {opv!r}")
-        term = parse_term()
-        acc = acc + term if opv == "+" else acc - term
-    return acc
+            factors.append((vid, exp))
+        if coeff:
+            _accumulate(terms, _pack(factors), -coeff if term[1] == "-" else coeff)
+    return _poly(registry, terms)
 
 
 def compose_many(polys, mapping: dict[int, Poly], registry: VarRegistry) -> list[Poly]:

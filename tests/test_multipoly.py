@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -134,11 +135,23 @@ def test_canonical_string(reg):
 
 
 def test_parse_errors(reg):
-    for bad in ("", "x +", "^2", "x^0", "x^-1", "x**2", "(x+1)"):
-        with pytest.raises(ValueError):
+    for bad in (
+        "", "x +", "^2", "x^-1", "x**2", "(x+1)", "2x", "x^2y", "x^1/2", "x*2", "x^+2",
+        "+-x", "2 3", "x y",
+    ):
+        with pytest.raises(ValueError, match="^bad polynomial syntax: "):
             parse_poly(reg, bad)
-    with pytest.raises(ValueError):
-        parse_poly(reg, "unknown_var")
+    long = "x*" * 50000 + "x!"
+    with pytest.raises(ValueError) as info:
+        parse_poly(reg, long)
+    assert str(info.value) == f"bad polynomial syntax: {long[:40]!r}"
+    for bad, message in (
+        ("x^0", "exponent must be a positive integer"),
+        ("1/0*x", "zero denominator"),
+        ("unknown_var", "unknown indeterminate 'unknown_var'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_poly(reg, bad)
 
 
 names = st.sampled_from(["t1", "t2", "t3", "a", "x", "y"])
@@ -175,6 +188,15 @@ def test_substitute_identity(p):
 @given(polys(_REG))
 def test_parse_roundtrip(p):
     assert parse_poly(_REG, str(p)) == p
+
+
+@given(polys(_REG), st.data())
+def test_parse_ignores_spaces_around_operators(p, data):
+    spaces = st.text(" ", max_size=3)
+    text = re.sub(
+        r" *([-+*^/]) *", lambda m: data.draw(spaces) + m[1] + data.draw(spaces), str(p)
+    )
+    assert parse_poly(_REG, data.draw(spaces) + text + data.draw(spaces)) == p
 
 
 @given(polys(_REG), polys(_REG))
