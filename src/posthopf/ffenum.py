@@ -24,10 +24,11 @@ A depth whose constraints include one folded to a nonzero constant is
 dead; a prefix with a dead depth is pruned at once, its next row neither
 scanned nor descended into, since no later row can change a constant.  A
 row's candidates come from its constraints, folded or, for row 0, reduced
-mod p as they are read: those linear in its eight slots are row-reduced
-over F_p with the two counit pins, and the affine solution space is walked
-depth first, one free slot per level, each other constraint checked as
-soon as the slots it reads are fixed (forward checking).
+mod p as they are read: those linear in its eight slots, the two counit
+pins of the coalgebra counit axiom among them, are row-reduced over F_p,
+and the affine solution space is walked depth first, one free slot per
+level, each other constraint checked as soon as the slots it reads are
+fixed (forward checking).
 
 F_p values are plain ints in 0..p-1 throughout.  A completed table is
 the chosen residues completed in int arithmetic and reduced mod p, an F_p
@@ -241,17 +242,18 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
     row's depth reads this row's slots only.  Its coefficients are reduced
     mod p as they are read, zero terms and constraints left empty dropped,
     and each monomial is decoded through its local id to ``((local slot,
-    exp), ...)``.  Counit compatibility pins slots 0 and 4.  The constraints
-    linear in this row's slots are row-reduced together with those pins, and
-    the free slots of the affine solution space are walked depth first over
-    0..p-1.  Each pivot slot is set at the level of the last free slot its
-    reduced row names, and each nonlinear constraint is checked once, at the
-    level of the deepest slot it reads (level 0, before any free slot is
-    fixed, when it reads only constant pivots)."""
+    exp), ...)``.  The constraints linear in this row's slots are
+    row-reduced; the coalgebra counit axiom gives every row two of them,
+    the pins ``v[0] + v[1] = eps(x)`` and ``v[4] + v[5] = 0`` in local
+    slots, which read this row only and so are never folded away.  The free
+    slots of the affine solution space are walked depth first over 0..p-1.
+    Each pivot slot is set at the level of the last free slot its reduced
+    row names, and each nonlinear constraint is checked once, at the level
+    of the deepest slot it reads (level 0, before any free slot is fixed,
+    when it reads only constant pivots)."""
     local_monos = list(_LOCALS)
-    eps_x = sweedler_h4().counit[row_index]
     # each linear equation scaled to a leading 1, so that repeats reduce only once
-    matrix = {(1, 1, 0, 0, 0, 0, 0, 0, eps_x), (0, 0, 0, 0, 1, 1, 0, 0, 0)}
+    matrix = set()
     nonlinear = []
     for terms in system[row_index]:
         terms = [(c % p, local_monos[_SPLITS[mid][1]]) for c, mid in terms if c % p]
@@ -269,7 +271,7 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
         inv = pow(next(c for c in coeffs if c), -1, p)
         matrix.add(tuple(c * inv % p for c in coeffs))
     reduced, pivots = rref(sorted(matrix), p)
-    if pivots[-1] == 8:
+    if pivots[-1:] == [8]:
         return []
     free = [c for c in range(8) if c not in pivots]
     level_of = {f: i + 1 for i, f in enumerate(free)}

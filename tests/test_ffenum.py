@@ -100,12 +100,14 @@ def test_row2_candidates_respect_primitive_spaces():
 
 def test_row_candidates_drop_what_vanishes_mod_p():
     # row 0 is read unreduced: a term whose coefficient p divides is dropped,
-    # and a constraint left empty constrains nothing
-    x1, x2 = ffenum._intern(((1, 1),)), ffenum._intern(((2, 1),))
-    free = row_candidates(3, 0, {0: []})
+    # and a constraint left empty constrains nothing; the two counit pins
+    # come with every row's system (test_every_row_holds_its_counit_pins)
+    x0, x1, x2, x4, x5 = (ffenum._intern(((s, 1),)) for s in (0, 1, 2, 4, 5))
+    pins = [[(1, x0), (1, x1), (-1, 0)], [(1, x4), (1, x5)]]
+    free = row_candidates(3, 0, {0: pins})
     assert len(free) == 3**6
-    assert row_candidates(3, 0, {0: [[(3, x1), (6, 0)]]}) == free
-    assert row_candidates(3, 0, {0: [[(3, x1), (4, x2)]]}) == [c for c in free if c[2] == 0]
+    assert row_candidates(3, 0, {0: pins + [[(3, x1), (6, 0)]]}) == free
+    assert row_candidates(3, 0, {0: pins + [[(3, x1), (4, x2)]]}) == [c for c in free if c[2] == 0]
 
 
 def decode(terms):
@@ -128,6 +130,18 @@ def decode(terms):
 def system(mode):
     """The unreduced constraints of :func:`_system_terms`, decoded."""
     return {depth: list(map(decode, constraints)) for depth, constraints in _system_terms(mode).items()}
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+def test_every_row_holds_its_counit_pins(mode):
+    # row_candidates reads the pins x0 + x1 = eps(e_r) and x4 + x5 = 0 off
+    # the coalgebra counit axiom's constraints; they read row r only, so no
+    # fold removes them
+    for r, eps in enumerate(sweedler_h4().counit):
+        held = {frozenset(terms) for terms in system(mode)[r]}
+        first = {(1, ((8 * r, 1),)), (1, ((8 * r + 1, 1),))} | ({(-eps, ())} if eps else set())
+        assert frozenset(first) in held
+        assert frozenset({(1, ((8 * r + 4, 1),)), (1, ((8 * r + 5, 1),))}) in held
 
 
 def brute_force_candidates(p, mode, row, assigned):
