@@ -243,8 +243,11 @@ def subsume(families: list[Family]) -> list[Family]:
         if key not in keyed:
             keyed[key] = fam
     keys = sorted(keyed)
+    # a parameter-free table specializes only to an equal table, and equal
+    # tables share a key
+    general = {k for k in keys if table_params(keyed[k].table)}
     rel = {
-        (ka, kb): specializes(keyed[ka].table, keyed[kb].table)
+        (ka, kb): ka in general and specializes(keyed[ka].table, keyed[kb].table)
         for ka in keys
         for kb in keys
         if ka != kb
