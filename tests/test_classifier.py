@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -41,6 +42,29 @@ def test_build_unknown_op_counts(h4):
     assert len(reg64) == 64
     with pytest.raises(ValueError):
         build_unknown_op(h4, "full128")
+
+
+# equation count and sha256 of "{provenance} {poly}\n" over the weak system
+WEAK_SYSTEM_PINS = {
+    "generator32": (711, "fef9aa6252f143889939a6d9f183e647ffba19ef54c7b8d17c42476adbdd6a96"),
+    "full64": (776, "b6d803a9bd492046a78e778bd6952b6b252018b268023ad25518558e368c5c14"),
+}
+
+
+@pytest.mark.parametrize("parameterization", sorted(WEAK_SYSTEM_PINS))
+def test_weak_constraint_system_is_pinned(h4, parameterization):
+    # the solver's input byte for byte; variable ids decide its tie-breaks,
+    # so the unknowns must be registered row, then column, then coefficient
+    op, reg = build_unknown_op(h4, parameterization)
+    equations = generate_constraints(h4, op, "weak").equations
+    count, digest = WEAK_SYSTEM_PINS[parameterization]
+    assert len(equations) == count
+    text = "".join(f"{c.provenance()} {c.poly}\n" for c in equations)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    cols = (G, V) if parameterization == "generator32" else range(4)
+    assert [reg.name_of(v) for v in range(len(reg))] == [
+        f"c_{i}_{j}_{k}" for i in range(4) for j in cols for k in range(4)
+    ]
 
 
 def test_generator32_completed_entry_is_quadratic(h4):
