@@ -13,7 +13,6 @@ from .hopfcore import (
 from .multipoly import Poly, VarRegistry, parse_poly, try_factor_split
 from .triangleop import (
     FAMILY_LABELS,
-    GeneratorTable,
     TriangleOp,
     apply,
     check_coalgebra_hom,
@@ -40,7 +39,6 @@ __all__ = [
     "EnumerationReport",
     "EnumerationTask",
     "FAMILY_LABELS",
-    "GeneratorTable",
     "HopfStructure",
     "Poly",
     "Rational",

@@ -36,7 +36,6 @@ from .solver import (
 )
 from .triangleop import (
     FAMILY_LABELS,
-    GeneratorTable,
     TriangleOp,
     axiom_suite,
     extend_generators,
@@ -90,24 +89,17 @@ def build_unknown_op(
     H4: HopfStructure, parameterization: str = "generator32"
 ) -> tuple[TriangleOp, VarRegistry]:
     """Fresh-indeterminate table: 32 unknowns ``c_i_j_k`` on the generator
-    columns (completed by :func:`extend_generators`), or 64 unknowns, one
-    per table coefficient."""
+    columns g and v, or 64 unknowns, one per table coefficient; either way
+    :func:`extend_generators` completes the columns not given."""
     if parameterization not in PARAMETERIZATIONS:
         raise ValueError(f"unknown parameterization {parameterization!r}")
-    if H4.dim != 4:
-        raise ValueError("the unknown-table construction is specific to dimension 4")
     reg = VarRegistry()
-    cols = (1, 2) if parameterization == "generator32" else (0, 1, 2, 3)
-    cells: dict[tuple[int, int], tuple] = {}
-    for i in range(4):
-        for j in cols:
-            cells[(i, j)] = tuple(reg.var(f"c_{i}_{j}_{k}") for k in range(4))
-    if parameterization == "generator32":
-        gt = GeneratorTable(tuple((cells[(i, 1)], cells[(i, 2)]) for i in range(4)))
-        op = extend_generators(H4, gt)
-    else:
-        op = TriangleOp(4, tuple(tuple(cells[(i, j)] for j in range(4)) for i in range(4)))
-    return op, reg
+    given = (1, 2) if parameterization == "generator32" else range(H4.dim)
+    columns = {j: [] for j in given}
+    for i in range(H4.dim):  # row, then column, then k: ids fix the solver's tie-breaks
+        for j in given:
+            columns[j].append([reg.var(f"c_{i}_{j}_{k}") for k in range(H4.dim)])
+    return extend_generators(H4, columns), reg
 
 
 def generate_constraints(

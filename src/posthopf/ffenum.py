@@ -59,7 +59,6 @@ from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
-    GeneratorTable,
     TriangleOp,
     axiom_suite,
     extend_generators,
@@ -312,10 +311,10 @@ def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None
     or None when it fails the mode's axioms.  The completion is computed on
     ints and reduced mod p (see the module docstring)."""
     lifted = extend_generators(
-        H4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4)))
+        H4, {1: [rows[i][:4] for i in range(4)], 2: [rows[i][4:] for i in range(4)]}
     )
     op = TriangleOp(
-        4,
+        lifted.dim,
         tuple(tuple(tuple(x % p for x in cell) for cell in row) for row in lifted.table),
         p,
     )

@@ -36,7 +36,6 @@ from .multipoly import Poly, VarRegistry, parse_poly
 
 __all__ = [
     "TriangleOp",
-    "GeneratorTable",
     "apply",
     "check_coalgebra_hom",
     "check_distributivity",
@@ -45,7 +44,6 @@ __all__ = [
     "check_counit_absorption",
     "axiom_suite",
     "extend_generators",
-    "generator_columns",
     "FAMILY_LABELS",
     "family_table",
     "op_ring",
@@ -77,19 +75,6 @@ class TriangleOp:
             len(row) != n or any(len(cell) != n for cell in row) for row in self.table
         ):
             raise ValueError("table shape does not match dim")
-
-
-@dataclass(frozen=True)
-class GeneratorTable:
-    """Values on the generator columns only: rows[i] = (e_i |> g, e_i |> v)."""
-
-    rows: tuple  # 4 pairs of length-4 coefficient vectors
-
-    def __post_init__(self):
-        if len(self.rows) != 4 or any(
-            len(pair) != 2 or any(len(vec) != 4 for vec in pair) for pair in self.rows
-        ):
-            raise ValueError("generator table needs 4 rows of two length-4 vectors")
 
 
 def _check_dim(H: HopfStructure, op: TriangleOp) -> None:
@@ -207,39 +192,44 @@ def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomR
     return suite
 
 
-# -- generator-table completion -------------------------------------------------
+# -- generator-column completion ------------------------------------------------
 
-def extend_generators(H4: HopfStructure, gt: GeneratorTable) -> TriangleOp:
-    """Complete generator columns to the full table using the factorizations
-    1 = g*g and gv = g*v:
+def extend_generators(H: HopfStructure, columns: dict) -> TriangleOp:
+    """Complete the given columns, ``columns[j][i] = e_i |> e_j``, to the
+    full table by the product rule.  Each missing column k, lowest first, is
+    filled from the first pair (a, b) with a given, b filled and
+    ``e_a e_b = e_k``:
 
-        x |> 1  := (x1 |> g)(x2 |> g)
-        x |> gv := (x1 |> g)(x2 |> v)
+        x |> e_k := (x1 |> e_a)(x2 |> e_b)
 
+    On Sweedler's algebra the g and v columns give 1 = g*g, then gv = g*v.
     No axiom is checked here: the completion is a pure parameterization, and
     any table satisfying the product rule necessarily agrees with it.
     """
-    if H4.dim != 4:
-        raise ValueError("generator completion is specific to the 4-dimensional algebra")
-    col_g = [gt.rows[i][0] for i in range(4)]
-    col_v = [gt.rows[i][1] for i in range(4)]
-    zero = col_g[0][0] * 0
-
-    def completed(i: int, second_col) -> tuple:
-        return tuple(
-            _sweedler(H4, i, lambda a, b: multiply(H4, col_g[a], second_col[b]), zero)
+    n = H.dim
+    given = sorted(columns)
+    if not given or not set(given) <= set(range(n)):
+        raise ValueError(f"given columns must be a nonempty subset of 0..{n - 1}")
+    cols = {j: [tuple(vec) for vec in columns[j]] for j in given}
+    if any(len(col) != n for col in cols.values()):
+        raise ValueError(f"each given column needs {n} rows")
+    zero = cols[given[0]][0][0] * 0
+    while len(cols) < n:
+        pair = next(
+            ((k, a, b) for k in range(n) if k not in cols
+             for a in given for b in sorted(cols)
+             if tuple(H.mul[a][b]) == basis_element(H, k)),
+            None,
         )
-
-    table = tuple(
-        (completed(i, col_g), tuple(col_g[i]), tuple(col_v[i]), completed(i, col_v))
-        for i in range(4)
-    )
-    return TriangleOp(4, table)
-
-
-def generator_columns(op: TriangleOp) -> GeneratorTable:
-    """Extract the g and v columns (basis indices 1 and 2)."""
-    return GeneratorTable(tuple((op.table[i][1], op.table[i][2]) for i in range(op.dim)))
+        if pair is None:
+            raise ValueError(f"columns {given} do not generate the algebra")
+        k, a, b = pair
+        col_a, col_b = cols[a], cols[b]
+        cols[k] = [
+            tuple(_sweedler(H, i, lambda c, d: multiply(H, col_a[c], col_b[d]), zero))
+            for i in range(n)
+        ]
+    return TriangleOp(n, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
 
 # -- the built-in families -------------------------------------------------------

@@ -28,7 +28,6 @@ from posthopf.ffenum import (
 from posthopf.hopfcore import sweedler_h4
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
-    GeneratorTable,
     family_table,
     check_counit_absorption,
     check_unitality,
@@ -489,7 +488,9 @@ def test_integer_lift_agrees_with_fp_suite(case):
         tuple(tuple(rational_mod_p(e.evaluate(assignment), p) for e in cell) for cell in row)
         for row in unknown_op.table
     )
-    lifted = extend_generators(h4, GeneratorTable(tuple((rows[i][:4], rows[i][4:]) for i in range(4))))
+    lifted = extend_generators(
+        h4, {G: [rows[i][:4] for i in range(4)], V: [rows[i][4:] for i in range(4)]}
+    )
     assert all(type(x) is int for row in lifted.table for cell in row for x in cell)
     assert tuple(tuple(tuple(x % p for x in cell) for cell in row) for row in lifted.table) == want
     satisfied = all(

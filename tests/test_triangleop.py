@@ -8,7 +8,6 @@ from posthopf.hopfcore import basis_element, sweedler_h4
 from posthopf.multipoly import Poly
 from posthopf.triangleop import (
     FAMILY_LABELS,
-    GeneratorTable,
     TriangleOp,
     apply,
     check_coalgebra_hom,
@@ -19,7 +18,6 @@ from posthopf.triangleop import (
     extend_generators,
     family_data_bytes,
     family_table,
-    generator_columns,
     op_from_json_dict,
     op_ring,
     op_to_json_dict,
@@ -142,15 +140,8 @@ def test_weighted_assoc_examples(h4):
 
     # obstruction: 1|>g = 1 with g|>g = g cannot satisfy the weighted
     # associativity: g |> (1|>g) = g|>1 = 1 while (g(g|>1)) |> g = g|>g = g
-    gt = GeneratorTable(
-        (
-            (unit_vec(ONE), zeros()),
-            (unit_vec(G), zeros()),
-            (zeros(), zeros()),
-            (zeros(), zeros()),
-        )
-    )
-    op = extend_generators(sweedler_h4(), gt)
+    columns = {G: [unit_vec(ONE), unit_vec(G), zeros(), zeros()], V: [zeros()] * 4}
+    op = extend_generators(sweedler_h4(), columns)
     report = check_weighted_assoc(h4, op)
     assert not report.passed
     assert any(e.indices[:3] == (G, ONE, G) for e in report.entries)
@@ -236,22 +227,17 @@ def test_all_families_pass_relaxed_suite_symbolically(h4):
 def test_extend_generators_reproduces_families(h4):
     for label in FAMILY_LABELS:
         op = family_table(label)
-        rebuilt = extend_generators(h4, generator_columns(op))
+        columns = {j: [row[j] for row in op.table] for j in (G, V)}
+        rebuilt = extend_generators(h4, columns)
         assert rebuilt.table == op.table, label
 
 
 def test_extend_generators_examples(h4):
     # identity action on generators for rows 1 and g, zero rows v and gv:
     # column 1 must come out as (1, 1, 0, 0) via (x1|>g)(x2|>g)
-    gt = GeneratorTable(
-        (
-            (unit_vec(G), unit_vec(V)),
-            (unit_vec(G), unit_vec(V)),
-            (zeros(), zeros()),
-            (zeros(), zeros()),
-        )
-    )
-    op = extend_generators(h4, gt)
+    columns = {G: [unit_vec(G), unit_vec(G), zeros(), zeros()],
+               V: [unit_vec(V), unit_vec(V), zeros(), zeros()]}
+    op = extend_generators(h4, columns)
     assert [op.table[i][ONE] for i in range(4)] == [
         unit_vec(ONE),
         unit_vec(ONE),
@@ -259,11 +245,34 @@ def test_extend_generators_examples(h4):
         zeros(),
     ]
 
-    all_zero = GeneratorTable(((zeros(), zeros()),) * 4)
-    op0 = extend_generators(h4, all_zero)
+    op0 = extend_generators(h4, {G: [zeros()] * 4, V: [zeros()] * 4})
     for i in range(4):
         assert op0.table[i][ONE] == zeros()
         assert op0.table[i][GV] == zeros()
+
+
+def test_extend_generators_completes_from_any_generating_columns(h4):
+    # given every column, nothing is completed; given g and v, 1 and gv are
+    # filled by the product rule, so both give back each family's table
+    for label in FAMILY_LABELS:
+        op = family_table(label, 2) if label in ("i", "ii") else family_table(label)
+        full = {j: [row[j] for row in op.table] for j in range(4)}
+        assert extend_generators(h4, full).table == op.table, label
+
+
+def test_extend_generators_rejects_columns_that_do_not_generate(h4):
+    # g alone generates only span{1, g}: v and gv have no product g*b
+    with pytest.raises(ValueError, match="do not generate"):
+        extend_generators(h4, {G: [unit_vec(G)] * 4})
+    # v alone: v*v = 0, so not even the unit column can be filled
+    with pytest.raises(ValueError, match="do not generate"):
+        extend_generators(h4, {V: [zeros()] * 4})
+    with pytest.raises(ValueError, match="nonempty subset"):
+        extend_generators(h4, {})
+    with pytest.raises(ValueError, match="nonempty subset"):
+        extend_generators(h4, {4: [zeros()] * 4})
+    with pytest.raises(ValueError, match="4 rows"):
+        extend_generators(h4, {G: [zeros()] * 3, V: [zeros()] * 4})
 
 
 def test_json_roundtrip_rational(h4):
