@@ -459,13 +459,19 @@ def _json_array(value, depth: int, leaf, name: str) -> tuple:
     return tuple(_json_array(v, depth - 1, leaf, name) for v in value)
 
 
+def _basis_name(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"Hopf structure basis names must be strings, got {value!r}")
+    return value
+
+
 def hopf_from_json_dict(data: dict) -> HopfStructure:
     try:
         n = data["dim"]
         fields = [
             _json_array(data[name], depth, leaf, name)
             for name, depth, leaf in (
-                ("basis", 1, str),
+                ("basis", 1, _basis_name),
                 ("mul", 3, parse_rational),
                 ("unit", 1, parse_rational),
                 ("comul", 3, parse_rational),

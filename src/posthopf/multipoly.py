@@ -581,15 +581,16 @@ def parse_poly(registry: VarRegistry, text: str) -> Poly:
         for factor in term[2].split("*"):
             varpow = _VARPOW.fullmatch(factor := factor.strip())
             if varpow is None:  # the term's leading rational
-                coeff = parse_rational(factor.replace(" ", ""))
+                coeff = parse_rational("".join(factor.split()))
                 continue
             name, exp = varpow.groups()
             vid, exp = registry.id_of(name), int(exp or 1)
             if exp < 1:
                 raise ValueError("exponent must be a positive integer")
             factors.append((vid, exp))
+        mono = _pack(factors)  # before the zero test: a 0 term obeys the degree cap too
         if coeff:
-            _accumulate(terms, _pack(factors), -coeff if term[1] == "-" else coeff)
+            _accumulate(terms, mono, -coeff if term[1] == "-" else coeff)
     return _poly(registry, terms)
 
 

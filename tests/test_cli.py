@@ -146,6 +146,7 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         {"dim": 4, "ring": {"prime": 2**89 - 1}, "table": [[["0"] * 4] * 4] * 4},
         {"dim": 4, "ring": {"prime": 0}, "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["a^40000", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": "poly", "table": [[["1 + 0*a^40000", "0", "0", "0"]] * 4] * 4},
     ],
     ids=[
         "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
@@ -153,6 +154,7 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         "fp-float-entries", "fp-int-entries", "fp-decimal-string",
         "float-dim", "string-dim", "bool-dim", "trailing-newline",
         "fp-prime-too-large", "fp-zero-prime", "poly-degree-too-large",
+        "poly-zero-term-degree-too-large",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
@@ -191,6 +193,16 @@ def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys, changes):
     code, _, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verify_non_string_basis_names_are_an_input_error(tmp_path, capsys):
+    data = {**json.loads(hopf_to_json(sweedler_h4())), "basis": [["1"], {"g": 1}, 2, None]}
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps(data), "utf-8")
+    code, out, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "basis" in err
 
 
 @pytest.mark.parametrize("field, index", [("mul", (1, 1, 0)), ("counit", (0,))], ids=["mul", "counit"])

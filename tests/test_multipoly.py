@@ -192,7 +192,7 @@ def test_parse_roundtrip(p):
 
 @given(polys(_REG), st.data())
 def test_parse_ignores_spaces_around_operators(p, data):
-    spaces = st.text(" ", max_size=3)
+    spaces = st.text(" \t\n", max_size=3)
     text = re.sub(
         r" *([-+*^/]) *", lambda m: data.draw(spaces) + m[1] + data.draw(spaces), str(p)
     )
@@ -431,6 +431,8 @@ def test_degree_limit(reg):
         lambda: parse_poly(reg, "x^40000"),
         lambda: parse_poly(reg, "x^20000*y^20000"),
         lambda: parse_poly(reg, "x^20000*x^20000"),
+        lambda: parse_poly(reg, "0*x^40000"),
+        lambda: parse_poly(reg, "1 + 0*x^40000"),
         lambda: Poly(reg, {((xid, MAX_DEGREE + 1),): 1}),
     )
     for make in past:
