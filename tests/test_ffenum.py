@@ -125,6 +125,37 @@ def decode(terms):
     return out
 
 
+@st.composite
+def slot_monomials(draw):
+    """A monomial ``((slot, exp), ...)`` by ascending slot over the 32 slots,
+    spanning one to four rows, each exponent 1-4."""
+    rows = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    mono = []
+    for row in sorted(rows):
+        slots = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        mono += [(8 * row + k, draw(st.integers(1, 4))) for k in sorted(slots)]
+    return tuple(mono)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(slot_monomials(), min_size=1, max_size=6))
+@example([((0, 1),), ((31, 4),), tuple((s, 1) for s in range(32))])
+def test_interning_round_trips(monos):
+    # every id decodes back to its monomial; interning again, or interning an
+    # equal copy, gives the same id and adds no split and no local monomial;
+    # distinct monomials get distinct ids
+    ids = [ffenum._intern(mono) for mono in monos]
+    assert [decode([(1, mid)]) for mid in ids] == [[(1, mono)] for mono in monos]
+    sizes = len(ffenum._SPLITS), len(ffenum._LOCALS)
+    assert [ffenum._intern(tuple(map(tuple, mono))) for mono in monos] == ids
+    assert (len(ffenum._SPLITS), len(ffenum._LOCALS)) == sizes
+    assert len(set(ids)) == len(set(monos))
+    # the monomial 1 is id 0 and local id 0, so a split's rest of 0 ends a chain
+    assert ffenum._intern(()) == 0
+    assert ffenum._SPLITS[0] == (-1, 0, 0)
+    assert next(iter(ffenum._LOCALS.items())) == ((), (0, 0))
+
+
 @functools.lru_cache(maxsize=None)
 def system(mode):
     """The unreduced constraints of :func:`_system_terms`, decoded."""
