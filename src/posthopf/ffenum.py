@@ -16,7 +16,10 @@ classifier uses.
 The constraints are integer term lists over interned monomials in 32
 slots (``8*row + k``, read off the classifier's unknown table), converted
 once per process from the weak generation; the relaxed system is the same
-term lists without unitality's.  A search starts from them unreduced.
+term lists without unitality's.  A monomial is interned as a chain of
+links (row, local id, rest id), one per row it reads, so the conversion
+keeps one link per monomial id and one entry per local monomial, and no
+table keyed by whole monomials.  A search starts from them unreduced.
 Each chosen row is folded (substituted, mod p) into the constraints of
 every deeper row once, and the folded system is carried down the
 recursion, so all children of a prefix share that work.
@@ -109,21 +112,42 @@ class EnumerationReport:
 # part, id of the rest); _LOCALS maps each part, as a local monomial
 # ((slot & 7, exp), ...), to (local id, mask of its slots), alike in every row;
 # its keys in insertion order are the local monomials by local id, and the
-# split of the monomial 1 names local id 0, the local monomial 1.
+# split of the monomial 1 names local id 0, the local monomial 1.  _IDS maps
+# each split but that of the monomial 1 back to its id.
 _SPLITS: list[tuple] = [(-1, 0, 0)]
 _LOCALS: dict[tuple, tuple] = {(): (0, 0)}
+_IDS: dict[tuple, int] = {}
 
 
-@lru_cache(maxsize=None)
-def _intern(mono: tuple) -> int:
-    if not mono:
-        return 0
-    row = mono[0][0] >> 3
-    k = sum(1 for s, _e in mono if s >> 3 == row)
-    local = tuple((s & 7, e) for s, e in mono[:k])
-    lid = _LOCALS.setdefault(local, (len(_LOCALS), sum(1 << s for s, _e in local)))[0]
-    _SPLITS.append((row, lid, _intern(mono[k:])))
-    return len(_SPLITS) - 1
+def _intern(mono) -> int:
+    """The id of ``mono``, interned as the chain of its splits: each row's
+    part is interned as a local monomial, first row first, and then the
+    links (row, local id, rest id) from the last row back to the first,
+    each looked up in _IDS.  Equal monomials, and equal tails, share their
+    links, and nothing is kept per monomial but its own link."""
+    parts = []
+    row = -1
+    for s, e in mono:
+        if s >> 3 != row:
+            row = s >> 3
+            part = []
+            parts.append((row, part))
+        part.append((s & 7, e))
+    links = []
+    for row, part in parts:
+        local = tuple(part)
+        got = _LOCALS.get(local)
+        if got is None:
+            got = _LOCALS[local] = (len(_LOCALS), sum(1 << k for k, _e in local))
+        links.append((row, got[0]))
+    mid = 0
+    for row, lid in reversed(links):
+        split = (row, lid, mid)
+        mid = _IDS.get(split)
+        if mid is None:
+            mid = _IDS[split] = len(_SPLITS)
+            _SPLITS.append(split)
+    return mid
 
 
 @lru_cache(maxsize=None)

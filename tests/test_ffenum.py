@@ -434,21 +434,14 @@ def test_fold_off_the_search_path(p, mode, last, rng):
             assert sorted(v for v in got if any(v)) == sorted(v for v in want if any(v))
 
 
-def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
-    # the oracle converts generate_constraints' output itself, so a fresh
-    # enumerate run keeps no Poly system alive in any of the classifier's
-    # caches: the last line is the exit code, _cached_system's size, and then
-    # name=size for every cached function the classifier defines
+def enumerate_p3_report(tmp_path, imports, report):
+    """Run ``enumerate --prime 3`` in a fresh interpreter, then print the
+    expression ``report`` there; its exit code and last line's fields."""
     code = (
         "import sys\n"
-        "from posthopf import classifier, cli\n"
+        f"from posthopf import cli, {imports}\n"
         "rc = cli.main(['enumerate', '--prime', '3', '--out', sys.argv[1]])\n"
-        "caches = sorted(\n"
-        "    f'{f.__name__}={f.cache_info().currsize}'\n"
-        "    for f in vars(classifier).values()\n"
-        "    if hasattr(f, 'cache_info') and f.__module__ == classifier.__name__\n"
-        ")\n"
-        "print(rc, classifier._cached_system.cache_info().currsize, *caches)\n"
+        f"print(rc, {report})\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -456,11 +449,33 @@ def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, size, *caches = proc.stdout.splitlines()[-1].split()
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
+    # the oracle converts generate_constraints' output itself, so a fresh
+    # enumerate run keeps no Poly system alive in any of the classifier's
+    # caches: the last line is the exit code, _cached_system's size, and then
+    # name=size for every cached function the classifier defines
+    caches = (
+        "classifier._cached_system.cache_info().currsize, *sorted("
+        "f'{f.__name__}={f.cache_info().currsize}' for f in vars(classifier).values()"
+        " if hasattr(f, 'cache_info') and f.__module__ == classifier.__name__)"
+    )
+    rc, size, *caches = enumerate_p3_report(tmp_path, "classifier", caches)
     assert [rc, size] == ["0", "0"]
     sizes = dict(entry.split("=") for entry in caches)
     assert {"_cached_system", "_weak_system"} <= set(sizes)
     assert set(sizes.values()) == {"0"}
+
+
+def test_enumerate_keeps_no_decoded_monomials(tmp_path):
+    # the conversion reads each term through Poly.terms(), which decodes it
+    # afresh, so a fresh enumerate run leaves multipoly's decode cache empty;
+    # what it keeps are the intern tables, one split per monomial id of the
+    # weak system and one entry per local monomial
+    report = "multipoly._mono_items.cache_info().currsize, len(ffenum._SPLITS), len(ffenum._LOCALS)"
+    assert enumerate_p3_report(tmp_path, "ffenum, multipoly", report) == ["0", "0", "9147", "237"]
 
 
 @functools.lru_cache(maxsize=None)

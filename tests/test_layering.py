@@ -157,3 +157,11 @@ def test_ffenum_does_not_share_the_classifier_cache():
     cached = cached_builders(ast.parse((PACKAGE / "classifier.py").read_text("utf-8")))
     assert {"_cached_system", "_weak_system"} <= cached
     assert name_uses(tree, {"_cached_system"} | cached) == []
+
+
+def test_ffenum_caches_no_monomials():
+    # the oracle caches its two converted systems and nothing else: a cache on
+    # any other function, the interning above all, would be keyed by
+    # monomials and grow with every distinct one for the life of the process
+    tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
+    assert cached_builders(tree) == {"_generator_terms", "_system_terms"}
