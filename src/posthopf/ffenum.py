@@ -240,15 +240,16 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
 
 
 def _eval_compiled(terms, vals, p: int) -> int:
+    """The value mod p of ``[(coeff, ((local slot, exp), ...)), ...]`` at
+    ``vals``.  A factor of exponent 1, nearly every one, is read off
+    ``vals`` as it is; the values are below p and the degrees small, so the
+    sum is reduced once."""
     total = 0
     for c, mono in terms:
-        v = c
         for s, e in mono:
-            v = v * pow(vals[s], e, p) % p
-            if v == 0:
-                break
-        total = (total + v) % p
-    return total
+            c *= vals[s] if e == 1 else vals[s] ** e
+        total += c
+    return total % p
 
 
 def _is_linear(terms) -> bool:
