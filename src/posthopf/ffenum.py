@@ -119,7 +119,7 @@ _LOCALS: dict[tuple, tuple] = {(): (0, 0)}
 _IDS: dict[tuple, int] = {}
 
 
-def _intern(mono) -> int:
+def _intern(mono: tuple) -> int:
     """The id of ``mono``, interned as the chain of its splits: each row's
     part is interned as a local monomial, first row first, and then the
     links (row, local id, rest id) from the last row back to the first,

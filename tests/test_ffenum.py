@@ -435,8 +435,8 @@ def test_fold_off_the_search_path(p, mode, last, rng):
 
 
 def enumerate_p3_report(tmp_path, imports, report):
-    """Run ``enumerate --prime 3`` in a fresh interpreter, then print the
-    expression ``report`` there; its exit code and last line's fields."""
+    """Run ``enumerate --prime 3`` in a fresh interpreter that then prints
+    its exit code and the expression ``report``; that line's fields."""
     code = (
         "import sys\n"
         f"from posthopf import cli, {imports}\n"

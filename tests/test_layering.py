@@ -6,7 +6,8 @@ module level only, so the layering is visible where a module starts.
 Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
 oracle reads its slot map from the unknown table, never from variable names,
-and builds its constraint system itself, never from the classifier's cache.
+and builds its constraint system itself, never from the classifier's cache,
+caching nothing keyed by monomials.
 """
 
 import ast
