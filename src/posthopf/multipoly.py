@@ -49,7 +49,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import or_
 
 from .exactmath import parse_rational
@@ -91,10 +91,6 @@ def _pack(mono) -> int:
     return m + deg
 
 
-# the four classify jobs, run in one process, key 11,056 distinct monomials
-# and the weak generator32 generation 9,002, so the bound holds them all; the
-# memo lets every canon_key share one key string per monomial
-@lru_cache(maxsize=1 << 15)
 def _mono_key(mono: int) -> str:
     """``chr(deg) + chr(e_0) + ... + chr(e_top)``, ``top`` the highest
     variable id occurring: it compares exactly as the tuple
@@ -208,33 +204,43 @@ def _quotient(c, lead):
     return _num(c / lead)
 
 
-class _Quotients(dict):
-    """``c -> _quotient(c, lead)`` for one ``lead``, filled on a miss and
-    emptied when full, so ``map(memo.__getitem__, coeffs)`` divides a
-    coefficient column with no Python call per hit."""
+class _Memo(dict):
+    """``key -> fn(key)``, filled on a miss and emptied when it holds
+    ``bound`` entries, so ``map(memo.__getitem__, keys)`` reads a hit with
+    no Python call.  The memo only saves work: every value is ``fn``'s."""
 
-    __slots__ = ("lead",)
+    __slots__ = ("fn", "bound")
 
-    def __init__(self, lead):
+    def __init__(self, fn, bound: int):
         super().__init__()
-        self.lead = lead
+        self.fn = fn
+        self.bound = bound
 
-    def __missing__(self, c):
-        if len(self) >= _QUOTIENTS_PER_LEAD:
+    def __missing__(self, key):
+        if len(self) >= self.bound:
             self.clear()
-        q = self[c] = _quotient(c, self.lead)
-        return q
+        value = self[key] = self.fn(key)
+        return value
 
 
-# one classify pass (the four jobs in one process) divides by 17 distinct
-# leads and meets at most 91 distinct coefficients under one lead, 674
-# pairs in all, so these bounds hold them all
+# every canon_key reads its monomials' keys here, so all keys share one string
+# per monomial; the four classify jobs, run in one process, key 11,056
+# distinct monomials (the weak generator32 generation 9,002 of them), fewer
+# than the bound, so the memo is never emptied there
+_MONO_KEYS = _Memo(_mono_key, 1 << 15)
+
+# one classify pass (the four jobs in one process) divides by 12 distinct
+# leads and meets at most 16 distinct coefficients under one lead, 117
+# pairs in all, so no quotient memo is emptied there
 _QUOTIENTS_PER_LEAD = 1 << 10
 
 
-@lru_cache(maxsize=1 << 7)
-def _quotients(lead) -> _Quotients:
-    return _Quotients(lead)
+def _quotients_by(lead) -> _Memo:
+    """The memo of ``c -> _quotient(c, lead)`` for one ``lead``."""
+    return _Memo(lambda c: _quotient(c, lead), _QUOTIENTS_PER_LEAD)
+
+
+_QUOTIENTS = _Memo(_quotients_by, 1 << 7)
 
 
 class Poly:
@@ -304,7 +310,7 @@ class Poly:
         return tuple((decode(m), terms[m]) for m in self._sorted_monos())
 
     def _sorted_monos(self):
-        return sorted(self._terms, key=_mono_key, reverse=True)
+        return sorted(self._terms, key=_MONO_KEYS.__getitem__, reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -497,21 +503,20 @@ class Poly:
     def canon_key(self) -> tuple:
         """Hashable, totally ordered canonical key of the monic
         normalization: equal keys mean equality up to a nonzero rational
-        factor.  Used to deduplicate and order constraint equations.  The
-        quotients by the leading coefficient come from its memo."""
+        factor.  Used to deduplicate and order constraint equations.  The key
+        is one flat tuple ``(key_0, c_0, key_1, c_1, ...)`` of monomial keys
+        and monic coefficients, highest monomial first; it compares as the
+        tuple of ``(key_i, c_i)`` pairs would.  The quotients by the leading
+        coefficient come from its memo."""
         if self._canon is None:
             terms = self._terms
-            if not terms:
-                self._canon = ()
-            else:
-                # monomial keys are distinct, so coefficients never compare
-                items = sorted(zip(map(_mono_key, terms), terms.values()), reverse=True)
-                lead = items[0][1]
-                if lead == 1:
-                    self._canon = tuple(items)
-                else:
-                    monos, coeffs = zip(*items)
-                    self._canon = tuple(zip(monos, map(_quotients(lead).__getitem__, coeffs)))
+            # monomial keys are distinct, so coefficients never compare
+            key = [*chain.from_iterable(
+                sorted(zip(map(_MONO_KEYS.__getitem__, terms), terms.values()), reverse=True)
+            )]
+            if key and key[1] != 1:
+                key[1::2] = map(_QUOTIENTS[key[1]].__getitem__, key[1::2])
+            self._canon = tuple(key)
         return self._canon
 
     def linear_candidates(self) -> tuple:

@@ -92,8 +92,8 @@ def test_standard_library_only():
     assert "dependencies = []" in [line.strip() for line in lines]
 
 
-# Poly's packed form: the monomial key, the terms store and its sort
-PACKED_FORM = {"_mono_key", "_terms", "_sorted_monos"}
+# Poly's packed form: the monomial key and its memo, the terms store and its sort
+PACKED_FORM = {"_mono_key", "_MONO_KEYS", "_terms", "_sorted_monos"}
 
 
 def name_uses(tree: ast.Module, names: set[str]) -> list[tuple[int, str]]:

@@ -261,7 +261,7 @@ def assert_reference_key(p: Poly) -> None:
     """``canon_key`` has the reference coefficients, in descending
     graded lexicographic order of the monomials."""
     key, ref = p.canon_key(), reference_key(p)
-    assert [c for _mk, c in key] == [c for _tk, c in ref]
+    assert list(key[1::2]) == [c for _tk, c in ref]
     assert [tk for tk, _c in ref] == sorted((tk for tk, _c in ref), reverse=True)
 
 
@@ -319,8 +319,8 @@ def test_canon_key_divides_exactly(reg):
     for text, want in cases.items():
         p = P(reg, text)
         key = p.canon_key()
-        assert [v for _mk, v in key] == list(want)
-        assert all(stored_form(v) for _mk, v in key), key
+        assert key[1::2] == want
+        assert all(map(stored_form, key[1::2])), key
         assert_reference_key(p)
         # rational multiples share the key
         assert (p * Fraction(-5, 7)).canon_key() == key
@@ -337,8 +337,12 @@ SHARED_LEADS = (2, -2, 4, -4, Fraction(3, 2), 1, -1)
 )
 @settings(max_examples=150, deadline=None)
 def test_memoized_canon_keys_match_the_reference(cases, per_lead):
-    # per_lead 2 empties a lead's memo on nearly every miss
-    with mock.patch.object(multipoly, "_QUOTIENTS_PER_LEAD", per_lead):
+    # per_lead 2 empties a lead's memo on nearly every miss; the leads'
+    # memos start afresh, so each is made with that bound
+    with (
+        mock.patch.object(multipoly, "_QUOTIENTS_PER_LEAD", per_lead),
+        mock.patch.dict(multipoly._QUOTIENTS, clear=True),
+    ):
         for p, lead in cases:
             if p.is_zero():
                 continue
@@ -346,7 +350,7 @@ def test_memoized_canon_keys_match_the_reference(cases, per_lead):
             assert p.terms()[0][1] == lead
             key = p.canon_key()
             assert_reference_key(p)
-            assert all(stored_form(c) for _mk, c in key), key
+            assert all(map(stored_form, key[1::2])), key
             # a fresh poly with the same terms keys again, from the memo
             assert Poly(_REG, dict(p.terms())).canon_key() == key
             # rational multiples share the key
@@ -397,6 +401,40 @@ def test_canon_keys_order_like_tuple_keys(ps):
             ref_p, ref_q = reference_key(p), reference_key(q)
             assert (got < want) == (ref_p < ref_q)
             assert (got == want) == (ref_p == ref_q)
+
+
+def prefixes(p: Poly) -> list[Poly]:
+    """The polys of ``p``'s first ``k`` terms in print order, ``k < len``:
+    they share ``p``'s lead, so each key is a prefix of ``p``'s."""
+    terms = p.terms()
+    return [Poly(p.registry, dict(terms[:k])) for k in range(len(terms))]
+
+
+@given(polys(_REG), polys(_REG))
+@settings(max_examples=150, deadline=None)
+def test_flat_canon_keys_compare_like_reference_pairs(p, q):
+    # a flat key (key_0, c_0, key_1, c_1, ...) holds the reference's pairs'
+    # elements in their order, so it compares as the pairs do, and a key
+    # that is a prefix of another sorts first
+    cases = [p, q, *prefixes(p), *prefixes(q)]
+    for a in cases:
+        key = a.canon_key()
+        assert len(key) == 2 * len(a.terms())
+        assert all(type(mk) is str for mk in key[0::2])
+        for b in cases:
+            ref_a, ref_b = reference_key(a), reference_key(b)
+            assert (key == b.canon_key()) == (ref_a == ref_b)
+            assert (key < b.canon_key()) == (ref_a < ref_b)
+
+
+def test_weak_generator32_keys_are_flat():
+    _op, _reg, system = _cached_system("weak", "generator32")
+    for constraint in system.equations:
+        poly = constraint.poly
+        key = poly.canon_key()
+        assert len(key) == 2 * len(poly.terms()), poly
+        assert all(type(mk) is str for mk in key[0::2]), poly
+        assert key[1] == 1 and all(map(stored_form, key[1::2])), poly
 
 
 def test_terms_are_in_print_order(reg):
