@@ -351,11 +351,11 @@ def cmd_enumerate(args) -> RunReport:
 def _resolve_basis_index(H: HopfStructure, token: str) -> int:
     if token in H.basis_names:
         return H.basis_names.index(token)
-    try:
-        idx = int(token)
-    except ValueError:
-        raise ValueError(f"unknown basis element {token!r}") from None
-    if not 0 <= idx < H.dim:
+    # ASCII digits only: int() also reads "+1", " 1", "0_1" and other scripts' digits
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"unknown basis element {token!r}")
+    idx = int(token)
+    if idx >= H.dim:
         raise ValueError(f"basis index {idx} out of range")
     return idx
 

@@ -70,11 +70,12 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict serialized form ``p``, ``-p`` or ``p/q`` (q nonzero)."""
+    """Parse the strict serialized form ``p``, ``-p`` or ``p/q`` (q nonzero),
+    in the ASCII digits 0-9."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:

@@ -32,7 +32,8 @@ String grammar (used in JSON payloads and reports)::
     rat    := INT ['/' INT]
     varpow := NAME ['^' POSINT]
 
-Whitespace is insignificant.  Example: ``2*a^2 - a``.  No rule refers to
+Whitespace is insignificant, and ``INT`` and ``POSINT`` are spelled in the
+ASCII digits 0-9.  Example: ``2*a^2 - a``.  No rule refers to
 itself, so each rule is one regular expression built from those of the rules
 it names: ``parse_poly`` matches ``poly`` against the whole string once and
 then reads its terms and their factors.
@@ -581,8 +582,8 @@ def _poly(registry: VarRegistry, terms: dict) -> Poly:
 # one pattern per rule of the grammar in the module docstring; each token
 # takes the whitespace after it, so no two patterns compete for a space and
 # matching costs time linear in the length of the string
-_RAT = re.compile(r"\d+\s*(?:/\s*\d+\s*)?")
-_VARPOW = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+)\s*)?")
+_RAT = re.compile(r"[0-9]+\s*(?:/\s*[0-9]+\s*)?")
+_VARPOW = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*([0-9]+)\s*)?")
 _TERM = re.compile(
     rf"(?:([+-])\s*)?((?:{_RAT.pattern}|{_VARPOW.pattern})(?:\*\s*{_VARPOW.pattern})*)"
 )

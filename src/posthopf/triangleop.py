@@ -340,12 +340,12 @@ def op_to_json_dict(op: TriangleOp) -> dict:
     }
 
 
-_INTEGER_RE = re.compile(r"-?\d+")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_residue(text) -> int:
     """An F_p entry as :func:`op_to_json_dict` writes it: a decimal integer
-    string."""
+    string in the ASCII digits 0-9."""
     if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"not an integer literal: {text!r}")
     return int(text)

@@ -147,6 +147,12 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         {"dim": 4, "ring": {"prime": 0}, "table": [[["1", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["a^40000", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["1 + 0*a^40000", "0", "0", "0"]] * 4] * 4},
+        # digits of other scripts, which int() and Fraction() would read
+        "family:i:a=\u0663",
+        {"dim": 4, "ring": "rational", "table": [[["\u0663", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": {"prime": 5}, "table": [[["\uff13", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": "poly", "table": [[["a^\u0662", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": "poly", "table": [[["\u0663*a", "0", "0", "0"]] * 4] * 4},
     ],
     ids=[
         "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
@@ -155,6 +161,8 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         "float-dim", "string-dim", "bool-dim", "trailing-newline",
         "fp-prime-too-large", "fp-zero-prime", "poly-degree-too-large",
         "poly-zero-term-degree-too-large",
+        "non-ascii-family-parameter", "non-ascii-rational-entry", "fp-fullwidth-entry",
+        "poly-non-ascii-exponent", "poly-non-ascii-coefficient",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
@@ -360,6 +368,19 @@ def test_primitives(capsys):
 
     code, _, err = run(capsys, "primitives", "7", "1")
     assert code == 2
+
+    code, out, _ = run(capsys, "primitives", "0", "0")
+    assert code == 0
+    assert "skew-primitive space for (1, 1)" in out
+
+
+# int() reads each of these as 1, the index of g; a basis index is ASCII digits only
+@pytest.mark.parametrize("token", ["+1", " 1", "1 ", "0_1", "\u0661", "\uff11"])
+def test_primitives_basis_index_is_ascii_digits(capsys, token):
+    code, out, err = run(capsys, "primitives", token, "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_enumerate_cli(tmp_path, capsys):
