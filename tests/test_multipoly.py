@@ -417,14 +417,14 @@ def test_flat_canon_keys_compare_like_reference_pairs(p, q):
     # elements in their order, so it compares as the pairs do, and a key
     # that is a prefix of another sorts first
     cases = [p, q, *prefixes(p), *prefixes(q)]
-    for a in cases:
-        key = a.canon_key()
+    keys = [(a.canon_key(), reference_key(a)) for a in cases]
+    for a, (key, _ref) in zip(cases, keys):
         assert len(key) == 2 * len(a.terms())
         assert all(type(mk) is str for mk in key[0::2])
-        for b in cases:
-            ref_a, ref_b = reference_key(a), reference_key(b)
-            assert (key == b.canon_key()) == (ref_a == ref_b)
-            assert (key < b.canon_key()) == (ref_a < ref_b)
+    for key_a, ref_a in keys:
+        for key_b, ref_b in keys:
+            assert (key_a == key_b) == (ref_a == ref_b)
+            assert (key_a < key_b) == (ref_a < ref_b)
 
 
 def test_weak_generator32_keys_are_flat():
