@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from time import perf_counter
 
 from .hopfcore import HopfStructure, sweedler_h4
@@ -40,7 +41,9 @@ from .triangleop import (
     axiom_suite,
     extend_generators,
     family_table,
+    map_table,
     op_to_json_dict,
+    table_entries,
     table_params,
 )
 
@@ -128,32 +131,20 @@ def branch_table(op: TriangleOp, branch: Branch) -> TriangleOp:
     """Substitute a resolved branch into the symbolic table."""
     if branch.status != "resolved":
         raise ValueError("only resolved branches define a table")
-    n = op.dim
-    flat = [entry for row in op.table for cell in row for entry in cell]
-    values = compose_many(flat, branch.assignments, branch.registry)
-    it = iter(values)
-    table = tuple(
-        tuple(tuple(next(it) for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
-    return TriangleOp(n, table)
+    values = iter(compose_many(table_entries(op.table), branch.assignments, branch.registry))
+    return TriangleOp(op.dim, map_table(lambda _entry: next(values), op.table))
 
 
-def _as_poly_table(op: TriangleOp, registry: VarRegistry, rename: dict) -> list:
+def _as_poly_table(op: TriangleOp, registry: VarRegistry, rename: dict) -> tuple:
     """Lift table entries into ``registry``, renaming parameters via
     ``rename`` (old id -> Poly)."""
-    out = []
-    for row in op.table:
-        cells = []
-        for cell in row:
-            lifted = []
-            for entry in cell:
-                if isinstance(entry, Poly):
-                    lifted.append(entry.compose(rename, registry))
-                else:
-                    lifted.append(Poly.constant(registry, entry))
-            cells.append(tuple(lifted))
-        out.append(tuple(cells))
-    return out
+
+    def lift(entry):
+        if isinstance(entry, Poly):
+            return entry.compose(rename, registry)
+        return Poly.constant(registry, entry)
+
+    return map_table(lift, op.table)
 
 
 def canonical_table_key(op: TriangleOp) -> str:
@@ -169,28 +160,16 @@ def canonical_table_key(op: TriangleOp) -> str:
     for old, name in zip(params, names):
         rename[old] = reg.var(name)
     table = _as_poly_table(op, reg, rename)
-
-    def first_sign(vid: int):
-        for row in table:
-            for cell in row:
-                for entry in cell:
-                    for mono, c in entry.terms():
-                        if any(v == vid for v, _ in mono):
-                            return c
-        return None
-
     for name in names:
         vid = reg.id_of(name)
-        sign = first_sign(vid)
-        if sign is not None and sign < 0:
+        first = next(
+            (c for entry in table_entries(table) for mono, c in entry.terms()
+             if any(v == vid for v, _ in mono)),
+            0,
+        )
+        if first < 0:
             flipped = -reg.var_by_id(vid)
-            table = [
-                tuple(
-                    tuple(entry.substitute(vid, flipped) for entry in cell)
-                    for cell in row
-                )
-                for row in table
-            ]
+            table = map_table(lambda entry: entry.substitute(vid, flipped), table)
     return ";".join(
         ",".join(entry.to_string() for entry in cell) for row in table for cell in row
     )
@@ -202,7 +181,7 @@ def specializes(general: TriangleOp, special: TriangleOp) -> bool:
     match is solved coefficient by coefficient with the restricted solver."""
     reg = VarRegistry()
 
-    def transplant(op: TriangleOp, prefix: str) -> tuple[list, list[int]]:
+    def transplant(op: TriangleOp, prefix: str) -> tuple[tuple, list[int]]:
         ids = []
         rename = {}
         for vid, param in table_params(op).items():
@@ -213,12 +192,12 @@ def specializes(general: TriangleOp, special: TriangleOp) -> bool:
 
     table_a, ids_a = transplant(general, "s_")
     table_b, _ids_b = transplant(special, "t_")
-    constraints = []
-    for i in range(general.dim):
-        for j in range(general.dim):
-            for k in range(general.dim):
-                diff = table_a[i][j][k] - table_b[i][j][k]
-                constraints.append(Constraint(diff, "match", (i, j, k)))
+    constraints = [
+        Constraint(a - b, "match", index)
+        for index, a, b in zip(
+            product(range(general.dim), repeat=3), table_entries(table_a), table_entries(table_b)
+        )
+    ]
     system = ConstraintSystem(reg, constraints)
     branches, _ = solve(system, max_branches=500, solvable=ids_a)
     return any(b.status == "resolved" for b in branches)

@@ -348,13 +348,21 @@ def cmd_enumerate(args) -> RunReport:
     return RunReport("pass", "\n".join(lines) + "\n", payload)
 
 
+def _ascii_int(token: str) -> int:
+    """A nonnegative integer spelled in the ASCII digits 0-9 only: int()
+    also reads "+1", " 1", "0_1" and other scripts' digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not an ASCII-digit integer: {token!r}")
+    return int(token)
+
+
 def _resolve_basis_index(H: HopfStructure, token: str) -> int:
     if token in H.basis_names:
         return H.basis_names.index(token)
-    # ASCII digits only: int() also reads "+1", " 1", "0_1" and other scripts' digits
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"unknown basis element {token!r}")
-    idx = int(token)
+    try:
+        idx = _ascii_int(token)
+    except ValueError:
+        raise ValueError(f"unknown basis element {token!r}") from None
     if idx >= H.dim:
         raise ValueError(f"basis index {idx} out of range")
     return idx
@@ -420,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="re-derive the classification symbolically")
     p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
     p.add_argument("--param", choices=("generator32", "full64"), default="generator32")
-    p.add_argument("--max-branches", type=int, default=10000)
+    p.add_argument("--max-branches", type=_ascii_int, default=10000)
     p.add_argument("--unicode", action="store_true")
     p.add_argument("--json", dest="json_out")
     p.add_argument(
@@ -429,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="brute-force oracle over a prime field")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_ascii_int, required=True)
     p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
     p.add_argument(
         "--out", dest="json_out", help="write structures and stats as JSON to this path"

@@ -56,6 +56,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import classifier
 from .exactmath import is_odd_prime, rational_mod_p, rref
@@ -65,7 +66,9 @@ from .triangleop import (
     TriangleOp,
     axiom_suite,
     extend_generators,
+    map_table,
     op_serial,
+    table_entries,
     table_params,
 )
 
@@ -162,10 +165,9 @@ def _generator_terms() -> tuple:
     h4 = sweedler_h4()
     op, _reg = classifier.build_unknown_op(h4, "generator32")
     slot_of = {
-        unknown.support[0]: 8 * row + 4 * half + k
-        for row in range(4)
-        for half in (0, 1)
-        for k, unknown in enumerate(op.table[row][1 + half])
+        unknown.support[0]: 8 * row + 4 * (j - 1) + k
+        for (row, j, k), unknown in zip(product(range(4), repeat=3), table_entries(op.table))
+        if j in (1, 2)
     }
     converted = []
     for constraint in classifier.generate_constraints(h4, op, "weak").equations:
@@ -338,11 +340,7 @@ def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None
     lifted = extend_generators(
         H4, {1: [rows[i][:4] for i in range(4)], 2: [rows[i][4:] for i in range(4)]}
     )
-    op = TriangleOp(
-        lifted.dim,
-        tuple(tuple(tuple(x % p for x in cell) for cell in row) for row in lifted.table),
-        p,
-    )
+    op = TriangleOp(lifted.dim, map_table(lambda x: x % p, lifted.table), p)
     if all(report.passed for report in axiom_suite(H4, op, mode).values()):
         return op
     return None
@@ -402,8 +400,7 @@ def _op_mod_p(op: TriangleOp, p: int, assignment: dict[int, int]) -> TriangleOp:
     def reduced(entry):
         return rational_mod_p(entry.evaluate(assignment) if isinstance(entry, Poly) else entry, p)
 
-    table = tuple(tuple(tuple(reduced(e) for e in cell) for cell in row) for row in op.table)
-    return TriangleOp(op.dim, table, p)
+    return TriangleOp(op.dim, map_table(reduced, op.table), p)
 
 
 def family_evaluations(families: dict[str, TriangleOp], p: int) -> dict[str, tuple]:

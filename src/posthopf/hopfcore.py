@@ -449,11 +449,9 @@ def hopf_to_json_dict(H: HopfStructure) -> dict:
 def _json_array(value, depth: int, leaf, name: str) -> tuple:
     """A JSON list nested ``depth`` deep as nested tuples, with ``leaf``
     applied to the innermost entries.  A string or any other non-list is
-    rejected at every level."""
+    rejected at every level; ``name`` names the payload in the message."""
     if not isinstance(value, list):
-        raise ValueError(
-            f"Hopf structure {name} must be nested JSON lists, found {type(value).__name__}"
-        )
+        raise ValueError(f"{name} must be nested JSON lists, found {type(value).__name__}")
     if depth == 1:
         return tuple(leaf(v) for v in value)
     return tuple(_json_array(v, depth - 1, leaf, name) for v in value)
@@ -469,7 +467,7 @@ def hopf_from_json_dict(data: dict) -> HopfStructure:
     try:
         n = data["dim"]
         fields = [
-            _json_array(data[name], depth, leaf, name)
+            _json_array(data[name], depth, leaf, f"Hopf structure {name}")
             for name, depth, leaf in (
                 ("basis", 1, _basis_name),
                 ("mul", 3, parse_rational),

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, compress, count
 from operator import or_
 
@@ -113,10 +113,6 @@ def _vars_of(mono: int) -> tuple[int, ...]:
     return tuple(compress(count(), fields))
 
 
-# filled by compose_many and evaluate only, whose callers decode the same
-# monomials again and again: 381 distinct ones over the four classify jobs
-# and 2 over the ten enumerate jobs with their family checks
-@lru_cache(maxsize=1 << 15)
 def _mono_items(mono: int) -> tuple:
     """``((variable id, exponent), ...)`` by ascending id, read off the
     fields from the highest down."""
@@ -302,13 +298,9 @@ class Poly:
 
     def terms(self) -> tuple:
         """The terms as ``(((variable id, exponent), ...), coefficient)``
-        pairs in print order, highest term first.  Each monomial is decoded
-        afresh, not through the shared decode cache: a caller that converts
-        a whole system reads each term once, and the cache would keep every
-        monomial it decoded for the rest of the process."""
+        pairs in print order, highest term first."""
         terms = self._terms
-        decode = _mono_items.__wrapped__
-        return tuple((decode(m), terms[m]) for m in self._sorted_monos())
+        return tuple((_mono_items(m), terms[m]) for m in self._sorted_monos())
 
     def _sorted_monos(self):
         return sorted(self._terms, key=_MONO_KEYS.__getitem__, reverse=True)

@@ -13,8 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
+from itertools import chain
 
 from .exactmath import is_odd_prime, parse_rational
 from .hopfcore import (
@@ -22,6 +23,7 @@ from .hopfcore import (
     HopfStructure,
     _ReportBuilder,
     _bilinear,
+    _json_array,
     _linear,
     _square_product,
     _sweedler,
@@ -51,6 +53,8 @@ __all__ = [
     "op_from_json_dict",
     "op_serial",
     "table_params",
+    "table_entries",
+    "map_table",
 ]
 
 FAMILY_LABELS = ("i", "ii", "iii", "iv", "v", "vi")
@@ -70,11 +74,21 @@ class TriangleOp:
     prime: int | None = None
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.table) != n or any(
-            len(row) != n or any(len(cell) != n for cell in row) for row in self.table
-        ):
+        # the table, each row and each cell all have dim entries
+        cells = chain.from_iterable(self.table)
+        if {len(self.table), *map(len, self.table), *map(len, cells)} != {self.dim}:
             raise ValueError("table shape does not match dim")
+
+
+def table_entries(table) -> tuple:
+    """The entries of a table, ``table[i][j][k]`` for ``i``, then ``j``,
+    then ``k`` ascending."""
+    return tuple(entry for row in table for cell in row for entry in cell)
+
+
+def map_table(f, table) -> tuple:
+    """The table as nested tuples with ``f`` applied to each entry."""
+    return tuple(tuple(tuple(map(f, cell)) for cell in row) for row in table)
 
 
 def _check_dim(H: HopfStructure, op: TriangleOp) -> None:
@@ -250,13 +264,7 @@ def _symbolic_family(which: str) -> TriangleOp:
     reg = VarRegistry()
     if data["param"]:
         reg.add(data["param"])
-    table = tuple(
-        tuple(
-            tuple(parse_poly(reg, entry) for entry in cell) for cell in row
-        )
-        for row in data["table"]
-    )
-    return TriangleOp(4, table)
+    return TriangleOp(len(data["table"]), map_table(partial(parse_poly, reg), data["table"]))
 
 
 def family_table(which: str, param=None) -> TriangleOp:
@@ -274,14 +282,8 @@ def family_table(which: str, param=None) -> TriangleOp:
     value = Fraction(param)
     reg = symbolic.table[0][0][0].registry
     vid = reg.id_of(_family_data()["families"][which]["param"])
-    table = tuple(
-        tuple(
-            tuple(entry.substitute(vid, value).constant_value() for entry in cell)
-            for cell in row
-        )
-        for row in symbolic.table
-    )
-    return TriangleOp(4, table)
+    table = map_table(lambda entry: entry.substitute(vid, value).constant_value(), symbolic.table)
+    return TriangleOp(symbolic.dim, table)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -290,15 +292,13 @@ def table_params(op: TriangleOp) -> dict[int, str]:
     """Parameter ids of a symbolic table mapped to their names, in
     first-occurrence order over the row-major, term-ordered serialization."""
     params: dict[int, str] = {}
-    for row in op.table:
-        for cell in row:
-            for entry in cell:
-                if not isinstance(entry, Poly):
-                    continue
-                for mono, _c in entry.terms():
-                    for v, _ in mono:
-                        if v not in params:
-                            params[v] = entry.registry.name_of(v)
+    for entry in table_entries(op.table):
+        if not isinstance(entry, Poly):
+            continue
+        for mono, _c in entry.terms():
+            for v, _ in mono:
+                if v not in params:
+                    params[v] = entry.registry.name_of(v)
     return params
 
 
@@ -308,15 +308,13 @@ def op_ring(op: TriangleOp):
     if op.prime is not None:
         return ("prime", op.prime)
     kinds = set()
-    for row in op.table:
-        for cell in row:
-            for entry in cell:
-                if isinstance(entry, Poly):
-                    kinds.add("poly")
-                elif isinstance(entry, (Fraction, int)):
-                    kinds.add("rational")
-                else:
-                    raise ValueError(f"unsupported entry type {type(entry)!r}")
+    for entry in table_entries(op.table):
+        if isinstance(entry, Poly):
+            kinds.add("poly")
+        elif isinstance(entry, (Fraction, int)):
+            kinds.add("rational")
+        else:
+            raise ValueError(f"unsupported entry type {type(entry)!r}")
     if len(kinds) == 1:
         return kinds.pop()
     raise ValueError(f"table mixes coefficient rings: {sorted(kinds)}")
@@ -360,11 +358,7 @@ def op_from_json_dict(data: dict) -> TriangleOp:
         raise ValueError(f"malformed operation payload: {exc}") from exc
     if type(n) is not int:  # a bool, float or string is not a dimension
         raise ValueError(f"operation dim must be an integer, got {n!r}")
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(isinstance(cell, list) for cell in row)
-        for row in rows
-    ):
-        raise ValueError("operation table must be a list of rows of coefficient lists")
+    rows = _json_array(rows, 3, lambda e: e, "operation table")
     p = None
     if isinstance(ring, dict):
         p = ring.get("prime")
@@ -373,33 +367,22 @@ def op_from_json_dict(data: dict) -> TriangleOp:
         # before any entry is reduced: a zero prime would raise ZeroDivisionError
         if not is_odd_prime(p):
             raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
-        table = tuple(
-            tuple(tuple(_parse_residue(e) % p for e in cell) for cell in row)
-            for row in rows
-        )
+        leaf = lambda e: _parse_residue(e) % p
     elif ring == "rational":
-        table = tuple(
-            tuple(tuple(parse_rational(e) for e in cell) for cell in row)
-            for row in rows
-        )
+        leaf = parse_rational
     elif ring == "poly":
         reg = VarRegistry()
         names: set[str] = set()
-        for row in rows:
-            for cell in row:
-                for e in cell:
-                    if not isinstance(e, str):
-                        raise ValueError(f"not a polynomial string: {e!r}")
-                    names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", e))
+        for e in table_entries(rows):
+            if not isinstance(e, str):
+                raise ValueError(f"not a polynomial string: {e!r}")
+            names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", e))
         for name in sorted(names):
             reg.add(name)
-        table = tuple(
-            tuple(tuple(parse_poly(reg, e) for e in cell) for cell in row)
-            for row in rows
-        )
+        leaf = partial(parse_poly, reg)
     else:
         raise ValueError(f"unknown ring tag {ring!r}")
-    return TriangleOp(n, table, p)
+    return TriangleOp(n, map_table(leaf, rows), p)
 
 
 def op_serial(op: TriangleOp) -> str:

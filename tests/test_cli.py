@@ -153,6 +153,9 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         {"dim": 4, "ring": {"prime": 5}, "table": [[["\uff13", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["a^\u0662", "0", "0", "0"]] * 4] * 4},
         {"dim": 4, "ring": "poly", "table": [[["\u0663*a", "0", "0", "0"]] * 4] * 4},
+        {"dim": 4, "ring": "rational", "table": [["1000"] * 4] * 4},
+        {"dim": 4, "ring": "rational", "table": ["1000"] * 4},
+        {"dim": 4, "ring": "rational", "table": [{}] * 4},
     ],
     ids=[
         "zero-denominator", "table-not-a-list", "int-entries", "int-poly-entries",
@@ -163,6 +166,7 @@ def test_verify_malformed_json(tmp_path, capsys, flag, text):
         "poly-zero-term-degree-too-large",
         "non-ascii-family-parameter", "non-ascii-rational-entry", "fp-fullwidth-entry",
         "poly-non-ascii-exponent", "poly-non-ascii-coefficient",
+        "string-cells", "string-rows", "dict-rows",
     ],
 )
 def test_verify_malformed_op_is_an_input_error(tmp_path, capsys, op):
@@ -413,6 +417,23 @@ def test_enumerate_cli_golden(tmp_path, capsys, mode, prime):
 def test_enumerate_bad_prime(capsys):
     code, _, err = run(capsys, "enumerate", "--prime", "4")
     assert code == 2
+
+
+# int() reads each of these as 3 or 10000; an integer flag is ASCII digits only
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--prime", token) for token in ("\uff13", " 3", "+3", "\u0663")]
+    + [("classify", "--max-branches", token) for token in ("+10000", "\uff110000")],
+    ids=[
+        "prime-fullwidth", "prime-space", "prime-plus", "prime-arabic-indic",
+        "max-branches-plus", "max-branches-fullwidth",
+    ],
+)
+def test_integer_flags_are_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid" in err
 
 
 def test_classify_cli_relaxed(tmp_path, capsys):
