@@ -1,7 +1,7 @@
 """Exact structure-constant computations for relaxed and weak post-Hopf
 operations on Sweedler's four-dimensional Hopf algebra."""
 
-from .exactmath import Rational, kernel_basis, rref
+from .exactmath import kernel_basis, rref
 from .hopfcore import (
     AxiomReport,
     HopfStructure,
@@ -41,7 +41,6 @@ __all__ = [
     "FAMILY_LABELS",
     "HopfStructure",
     "Poly",
-    "Rational",
     "TriangleOp",
     "VarRegistry",
     "apply",

@@ -42,6 +42,7 @@ from .triangleop import (
     extend_generators,
     family_table,
     map_table,
+    op_serial,
     op_to_json_dict,
     table_entries,
     table_params,
@@ -170,9 +171,7 @@ def canonical_table_key(op: TriangleOp) -> str:
         if first < 0:
             flipped = -reg.var_by_id(vid)
             table = map_table(lambda entry: entry.substitute(vid, flipped), table)
-    return ";".join(
-        ",".join(entry.to_string() for entry in cell) for row in table for cell in row
-    )
+    return op_serial(TriangleOp(op.dim, table))
 
 
 def specializes(general: TriangleOp, special: TriangleOp) -> bool:

@@ -1,9 +1,9 @@
 """Exact coefficient arithmetic and exact linear algebra.
 
-Rationals are plain :class:`fractions.Fraction` values (re-exported as
-``Rational``); they already carry the canonical-form invariants relied on
-everywhere in this package (reduced fraction, positive denominator, zero as
-0/1) and serialize as ``"p/q"`` / ``"p"`` via ``str``.
+Rationals are plain :class:`fractions.Fraction` values; they already carry
+the canonical-form invariants relied on everywhere in this package (reduced
+fraction, positive denominator, zero as 0/1) and serialize as ``"p/q"`` /
+``"p"`` via ``str``.
 
 An element of a prime field F_p is a plain ``int`` in 0..p-1, with the
 prime carried by whatever holds it; :func:`rational_mod_p` is the reduction
@@ -23,10 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "is_odd_prime",
     "parse_rational",
     "rational_mod_p",

@@ -155,9 +155,6 @@ class VarRegistry:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
     def var(self, name: str) -> "Poly":
         """Polynomial for a single variable, registering the name if new."""
         vid = self._ids.get(name)

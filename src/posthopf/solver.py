@@ -258,10 +258,7 @@ def solve(
                 watch = tuple(w.substitute(v, expr) for w in watch)
                 if v in nonzero:
                     nonzero = nonzero - {v}
-                    if expr.is_zero():
-                        leaf("inconsistent", assign, eqs,
-                             f"{registry.name_of(v)} assumed nonzero but forced to 0", trace)
-                        break
+                    # expr = -rest/a is nonzero: an eq = a*x_v was cancelled to a, then pruned
                     if not expr.is_constant():
                         watch = watch + (expr,)
                 stats["substitutions"] += 1

@@ -93,7 +93,9 @@ def map_table(f, table) -> tuple:
 
 def _check_dim(H: HopfStructure, op: TriangleOp) -> None:
     if op.dim != H.dim:
-        raise ValueError("operation dimension does not match the Hopf structure")
+        raise ValueError(
+            f"operation dimension {op.dim} does not match the Hopf structure's {H.dim}"
+        )
 
 
 def apply(H: HopfStructure, op: TriangleOp, x, y) -> tuple:
@@ -254,10 +256,6 @@ def _family_data() -> dict:
     return json.loads(text)
 
 
-def family_data_bytes() -> bytes:
-    return resources.files("posthopf").joinpath("families.json").read_bytes()
-
-
 @lru_cache(maxsize=None)
 def _symbolic_family(which: str) -> TriangleOp:
     data = _family_data()["families"][which]
@@ -320,12 +318,6 @@ def op_ring(op: TriangleOp):
     raise ValueError(f"table mixes coefficient rings: {sorted(kinds)}")
 
 
-def _entry_str(entry) -> str:
-    if isinstance(entry, Poly):
-        return entry.to_string()
-    return str(entry)
-
-
 def op_to_json_dict(op: TriangleOp) -> dict:
     ring = op_ring(op)
     ring_field = {"prime": ring[1]} if isinstance(ring, tuple) else ring
@@ -333,7 +325,7 @@ def op_to_json_dict(op: TriangleOp) -> dict:
         "dim": op.dim,
         "ring": ring_field,
         "table": [
-            [[_entry_str(entry) for entry in cell] for cell in row] for row in op.table
+            [[str(entry) for entry in cell] for cell in row] for row in op.table
         ],
     }
 
@@ -390,6 +382,6 @@ def op_serial(op: TriangleOp) -> str:
     ring = op_ring(op)
     ring_field = f"p{ring[1]}" if isinstance(ring, tuple) else ring
     cells = ";".join(
-        ",".join(_entry_str(e) for e in cell) for row in op.table for cell in row
+        ",".join(str(e) for e in cell) for row in op.table for cell in row
     )
     return f"{ring_field}|{cells}"

@@ -189,22 +189,56 @@ def test_verify_large_prime_is_answered(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+H4_JSON = json.loads(hopf_to_json(sweedler_h4()))
+
+
 @pytest.mark.parametrize(
     "changes", [
         {"dim": 4.5},
         # a string iterates like a list: unchecked, these read as Sweedler's algebra
         {"unit": "1000", "counit": "1100"},
         {"dim": 0, **{key: [] for key in ("basis", "mul", "unit", "comul", "counit", "antipode")}},
+        {"mul": [H4_JSON["mul"][0][:3], *H4_JSON["mul"][1:]]},
+        {"unit": H4_JSON["unit"][:3]},
+        {"comul": [[H4_JSON["comul"][0][0][:3], *H4_JSON["comul"][0][1:]], *H4_JSON["comul"][1:]]},
+        {"antipode": [H4_JSON["antipode"][0][:3], *H4_JSON["antipode"][1:]]},
     ],
-    ids=["float-dim", "string-vectors", "zero-dim"],
+    ids=[
+        "float-dim", "string-vectors", "zero-dim",
+        "mul-plane-3-rows", "unit-3-entries", "comul-cell-3-entries", "antipode-row-3-entries",
+    ],
 )
 def test_verify_malformed_hopf_dim_is_an_input_error(tmp_path, capsys, changes):
-    data = {**json.loads(hopf_to_json(sweedler_h4())), **changes}
+    data = {**H4_JSON, **changes}
     path = tmp_path / "h4.json"
     path.write_text(json.dumps(data), "utf-8")
-    code, _, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi")
+    code, out, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi")
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
+
+
+# the group algebra k[Z2] on the basis 1, g
+Z2_JSON = {
+    "dim": 2,
+    "basis": ["1", "g"],
+    "mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+    "unit": ["1", "0"],
+    "comul": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+    "counit": ["1", "1"],
+    "antipode": [["1", "0"], ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+def test_verify_op_of_another_dimension(tmp_path, capsys, mode):
+    # a valid 2-dim structure and a 4-dim table: bad input, named by both dims
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(Z2_JSON), "utf-8")
+    code, out, err = run(capsys, "verify", "--hopf", str(path), "--op", "family:vi", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err == "error: operation dimension 4 does not match the Hopf structure's 2\n"
 
 
 def test_verify_non_string_basis_names_are_an_input_error(tmp_path, capsys):
@@ -322,8 +356,10 @@ def test_unknown_flag_rejected(capsys):
 
 
 def test_unknown_family(capsys):
-    code, _, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", "family:vii")
+    code, out, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", "family:vii")
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown family 'vii'")
 
 
 def test_families_render_deterministic(capsys):

@@ -7,10 +7,12 @@ Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
 oracle reads its slot map from the unknown table, never from variable names,
 and builds its constraint system itself, never from the classifier's cache,
-caching nothing keyed by monomials.
+caching nothing keyed by monomials.  Every name a module or the facade
+lists in ``__all__`` exists on it.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -166,3 +168,11 @@ def test_ffenum_caches_no_monomials():
     # monomials and grow with every distinct one for the life of the process
     tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
     assert cached_builders(tree) == {"_generator_terms", "_system_terms"}
+
+
+def test_every_exported_name_exists():
+    # a name removed from a module must leave its __all__, and the facade's, too
+    for stem in LAYERS + ["__init__"]:
+        module = importlib.import_module("posthopf" if stem == "__init__" else f"posthopf.{stem}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{stem}: __all__ names {missing}"

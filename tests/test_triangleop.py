@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -16,7 +17,6 @@ from posthopf.triangleop import (
     check_unitality,
     check_weighted_assoc,
     extend_generators,
-    family_data_bytes,
     family_table,
     op_from_json_dict,
     op_ring,
@@ -49,7 +49,8 @@ def unit_vec(i):
 
 
 def test_family_data_frozen():
-    assert hashlib.sha256(family_data_bytes()).hexdigest() == FAMILIES_SHA256
+    data = resources.files("posthopf").joinpath("families.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FAMILIES_SHA256
 
 
 def test_family_entries():
