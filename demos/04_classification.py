@@ -36,8 +36,8 @@ for idx, fam in enumerate(result.maximal_families):
     kind = "weak" if unital else "relaxed only"
     print(f"family matching built-in ({label}) [{kind}]")
     print(render_table(fam.table, h4))
-    if fam.free_params:
-        print(f"  free parameters: {', '.join(fam.free_params)}")
+    if fam.branch.free_params:
+        print(f"  free parameters: {', '.join(fam.branch.free_params)}")
     print()
 
 print("bijection with the built-in tables:", "yes" if match.perfect else "NO")

@@ -72,7 +72,6 @@ class Family:
 
     branch: Branch
     table: TriangleOp
-    free_params: tuple[str, ...]
 
 
 @dataclass
@@ -117,12 +116,11 @@ def generate_constraints(
     equations: list[Constraint] = []
     for report in axiom_suite(H, op, mode).values():
         for entry in report.entries:
-            poly = entry.residual
-            key = poly.canon_key()
+            key = entry.residual.canon_key()
             if key in seen:
                 continue
             seen.add(key)
-            equations.append(Constraint(poly, entry.axiom, entry.indices))
+            equations.append(entry)
     return ConstraintSystem(registry, equations)
 
 
@@ -309,7 +307,7 @@ def classify(
     branches, stats = solve(system, max_branches=max_branches)
     solved = perf_counter()
     families = [
-        Family(branch=b, table=branch_table(op, b), free_params=b.free_params)
+        Family(branch=b, table=branch_table(op, b))
         for b in branches
         if b.status == "resolved"
     ]

@@ -14,9 +14,9 @@ product rule forces the remaining columns, the same completion the
 classifier uses.
 
 The constraints are integer term lists over interned monomials in 32
-slots (``8*row + k``, read off the classifier's unknown table), converted
-once per process from the weak generation; the relaxed system is the same
-term lists without unitality's.  A monomial is interned as a chain of
+slots (``8*row + k``, each its unknown's id in the classifier's registry),
+converted once per process from the weak generation; the relaxed system is
+the same term lists without unitality's.  A monomial is interned as a chain of
 links (row, local id, rest id), one per row it reads, so the conversion
 keeps one link per monomial id and one entry per local monomial, and no
 table keyed by whole monomials.  A search starts from them unreduced.
@@ -56,7 +56,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import classifier
 from .exactmath import is_odd_prime, rational_mod_p, rref
@@ -68,7 +67,6 @@ from .triangleop import (
     extend_generators,
     map_table,
     op_serial,
-    table_entries,
     table_params,
 )
 
@@ -158,24 +156,18 @@ def _generator_terms() -> tuple:
     """The weak constraints of the generator parameterization as ``(axiom,
     depth, terms)`` in generation order: ``terms`` is the integer term list
     ``[(coeff, mono id), ...]`` and ``depth`` the highest row in its
-    support.  The unknown of ``row |> g`` coordinate k is slot ``8*row + k`` and that of
-    ``row |> v`` slot ``8*row + 4 + k``, read off the unknown table, so
-    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
-    that row's candidate tuple."""
+    support.  A slot is its unknown's id: the unknown table registers
+    ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v`` coordinate k
+    as ``8*row + 4 + k``, so ``slot >> 3`` is the row and ``slot & 7`` the
+    local slot, the place in that row's candidate tuple."""
     h4 = sweedler_h4()
     op, _reg = classifier.build_unknown_op(h4, "generator32")
-    slot_of = {
-        unknown.support[0]: 8 * row + 4 * (j - 1) + k
-        for (row, j, k), unknown in zip(product(range(4), repeat=3), table_entries(op.table))
-        if j in (1, 2)
-    }
     converted = []
     for constraint in classifier.generate_constraints(h4, op, "weak").equations:
         terms, depth = [], 0
-        for mono, coeff in constraint.poly.terms():
+        for mono, coeff in constraint.residual.terms():
             if coeff.denominator != 1:
                 raise AssertionError("generator system has non-integer coefficient")
-            mono = tuple(sorted((slot_of[v], e) for v, e in mono))
             if mono:
                 depth = max(depth, mono[-1][0] >> 3)
             terms.append((int(coeff), _intern(mono)))
@@ -340,7 +332,7 @@ def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None
     lifted = extend_generators(
         H4, {1: [rows[i][:4] for i in range(4)], 2: [rows[i][4:] for i in range(4)]}
     )
-    op = TriangleOp(lifted.dim, map_table(lambda x: x % p, lifted.table), p)
+    op = _op_mod_p(lifted, p, {})
     if all(report.passed for report in axiom_suite(H4, op, mode).values()):
         return op
     return None

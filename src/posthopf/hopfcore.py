@@ -44,7 +44,6 @@ from .solver import Constraint, ConstraintSystem, solve
 
 __all__ = [
     "HopfStructure",
-    "AxiomEntry",
     "AxiomReport",
     "multiply",
     "comultiply",
@@ -98,24 +97,17 @@ class HopfStructure:
 
 
 @dataclass(frozen=True)
-class AxiomEntry:
-    axiom: str
-    indices: tuple[int, ...]
-    residual: object
-
-
-@dataclass(frozen=True)
 class AxiomReport:
     """Nonzero residual components of an axiom check; empty means pass."""
 
-    entries: tuple[AxiomEntry, ...]
+    entries: tuple[Constraint, ...]
     checks: int
 
     @property
     def passed(self) -> bool:
         return not self.entries
 
-    def first_failure(self) -> AxiomEntry | None:
+    def first_failure(self) -> Constraint | None:
         return self.entries[0] if self.entries else None
 
 
@@ -127,7 +119,7 @@ class _ReportBuilder:
 
     def __init__(self, prime: int | None = None):
         self.prime = prime
-        self.entries: list[AxiomEntry] = []
+        self.entries: list[Constraint] = []
         self.checks = 0
 
     def residual(self, axiom: str, indices: tuple[int, ...], value) -> None:
@@ -135,7 +127,7 @@ class _ReportBuilder:
         if value != 0 and self.prime is not None:  # 0 reduces to 0
             value = rational_mod_p(value, self.prime)
         if value != 0:
-            self.entries.append(AxiomEntry(axiom, indices, value))
+            self.entries.append(Constraint(value, axiom, indices))
 
     def residual_vector(self, axiom: str, indices: tuple[int, ...], vec) -> None:
         for comp, value in enumerate(vec):

@@ -53,7 +53,9 @@ class SolverVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    poly: Poly
+    """An axiom residual: a ``Poly`` in a system, a number in a concrete check."""
+
+    residual: object
     axiom: str
     indices: tuple
 
@@ -182,7 +184,7 @@ def solve(
         "nodes": 1,
     }
     branches: list[Branch] = []
-    original = [c.poly for c in system.equations]
+    original = [c.residual for c in system.equations]
     # stack entries: equations, assignments, nonzero var ids, watched nonzero
     # polynomials, trace
     stack = [(_prepare(original), {}, frozenset(), (), ())]
@@ -328,7 +330,7 @@ def _finalize(
         else:
             full[v] = pmap[v]
     residuals = compose_many(
-        [c.poly for c in system.equations], full, param_reg
+        [c.residual for c in system.equations], full, param_reg
     )
     for constraint, residual in zip(system.equations, residuals):
         if not residual.is_zero():

@@ -262,7 +262,7 @@ def test_criterion_9_property_suites(relaxed_result, enum_p3):
         }
         numeric = {v: poly.evaluate(pvals) for v, poly in branch.assignments.items()}
         for c in system.equations:
-            assert c.poly.evaluate(numeric) == 0
+            assert c.residual.evaluate(numeric) == 0
 
     # polynomial canonicality round-trips
     reg = VarRegistry()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from posthopf import classifier
 from posthopf.classifier import (
     Constraint,
     ConstraintSystem,
@@ -23,7 +24,7 @@ from posthopf.classifier import (
 )
 from posthopf.hopfcore import multiply, sweedler_h4
 from posthopf.multipoly import Poly, VarRegistry, parse_poly
-from posthopf.triangleop import TriangleOp, check_unitality, family_table
+from posthopf.triangleop import TriangleOp, axiom_suite, check_unitality, family_table
 
 ONE, G, V, GV = 0, 1, 2, 3
 
@@ -44,7 +45,7 @@ def test_build_unknown_op_counts(h4):
         build_unknown_op(h4, "full128")
 
 
-# equation count and sha256 of "{provenance} {poly}\n" over the weak system
+# equation count and sha256 of "{provenance} {residual}\n" over the weak system
 WEAK_SYSTEM_PINS = {
     "generator32": (711, "fef9aa6252f143889939a6d9f183e647ffba19ef54c7b8d17c42476adbdd6a96"),
     "full64": (776, "b6d803a9bd492046a78e778bd6952b6b252018b268023ad25518558e368c5c14"),
@@ -54,12 +55,13 @@ WEAK_SYSTEM_PINS = {
 @pytest.mark.parametrize("parameterization", sorted(WEAK_SYSTEM_PINS))
 def test_weak_constraint_system_is_pinned(h4, parameterization):
     # the solver's input byte for byte; variable ids decide its tie-breaks,
-    # so the unknowns must be registered row, then column, then coefficient
+    # so the unknowns must be registered row, then column, then coefficient;
+    # the F_p oracle's slots are these ids, so its slot layout rests on this order
     op, reg = build_unknown_op(h4, parameterization)
     equations = generate_constraints(h4, op, "weak").equations
     count, digest = WEAK_SYSTEM_PINS[parameterization]
     assert len(equations) == count
-    text = "".join(f"{c.provenance()} {c.poly}\n" for c in equations)
+    text = "".join(f"{c.provenance()} {c.residual}\n" for c in equations)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     cols = (G, V) if parameterization == "generator32" else range(4)
     assert [reg.name_of(v) for v in range(len(reg))] == [
@@ -95,7 +97,7 @@ def test_unit_row_square_identity_matches_derivation(h4):
 
 def test_relaxed_system_contains_unit_row_facts(h4):
     _, reg, system = _cached_system("relaxed", "generator32")
-    keys = {c.poly.canon_key() for c in system.equations}
+    keys = {c.residual.canon_key() for c in system.equations}
     for text in (
         "c_0_1_0^2 - c_0_1_0",   # t1^2 = t1 from coproduct compatibility
         "c_0_1_0*c_0_1_1",       # t1 t2 = 0
@@ -107,14 +109,14 @@ def test_relaxed_system_contains_unit_row_facts(h4):
 
 def test_weak_mode_adds_unit_row_linear_equations(h4):
     _, reg, weak = _cached_system("weak", "generator32")
-    keys = {c.poly.canon_key() for c in weak.equations}
+    keys = {c.residual.canon_key() for c in weak.equations}
     assert parse_poly(reg, "c_0_1_1 - 1").canon_key() in keys
     _, _, relaxed = _cached_system("relaxed", "generator32")
     assert len(weak.equations) > len(relaxed.equations)
 
 
 def equation_view(system):
-    return [(str(c.poly), c.axiom, c.indices) for c in system.equations]
+    return [(str(c.residual), c.axiom, c.indices) for c in system.equations]
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "weak"])
@@ -128,6 +130,23 @@ def test_cached_system_equals_a_fresh_generation(h4, mode, parameterization):
     counts = {("relaxed", "generator32"): 700, ("weak", "generator32"): 711,
               ("relaxed", "full64"): 760, ("weak", "full64"): 776}
     assert len(cached.equations) == counts[mode, parameterization]
+
+
+def test_generation_keeps_the_suites_own_entries(h4, monkeypatch):
+    # each equation is the check's own residual record, not a copy of it
+    entries = []
+
+    def recording_suite(*args):
+        suite = axiom_suite(*args)
+        entries.extend(e for report in suite.values() for e in report.entries)
+        return suite
+
+    monkeypatch.setattr(classifier, "axiom_suite", recording_suite)
+    op, _reg = build_unknown_op(h4, "generator32")
+    equations = generate_constraints(h4, op, "weak").equations
+    own = {id(e) for e in entries}
+    assert len(equations) == 711
+    assert all(isinstance(c, Constraint) and id(c) in own for c in equations)
 
 
 @pytest.mark.parametrize("parameterization", ["generator32", "full64"])
@@ -159,8 +178,8 @@ def test_zero_table_is_inconsistent(h4):
     zero = Poly.zero(zero_reg)
     zero_op = TriangleOp(4, tuple(tuple((zero,) * 4 for _ in range(4)) for _ in range(4)))
     system = generate_constraints(h4, zero_op, "relaxed")
-    constants = [c for c in system.equations if c.poly.is_constant()]
-    assert constants and any(c.poly.constant_value() == -1 for c in constants)
+    constants = [c for c in system.equations if c.residual.is_constant()]
+    assert constants and any(c.residual.constant_value() == -1 for c in constants)
     branches, _ = solve(system)
     assert all(b.status == "inconsistent" for b in branches)
 
@@ -287,7 +306,7 @@ def test_branch_soundness_independent_numeric(relaxed_result):
             }
             numeric = {v: poly.evaluate(pvals) for v, poly in branch.assignments.items()}
             for c in system.equations:
-                assert c.poly.evaluate(numeric) == 0
+                assert c.residual.evaluate(numeric) == 0
 
 
 def test_branch_assignments_back_substituted(relaxed_result):
@@ -373,7 +392,7 @@ def test_leaf_remaining_is_sorted_with_unique_keys(mode, param, max_branches):
 # -- subsumption and matching -------------------------------------------------------
 
 def fam_of(op):
-    return Family(branch=None, table=op, free_params=())
+    return Family(branch=None, table=op)
 
 
 def test_specializes_examples():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posthopf import classifier
 from posthopf.cli import main
 from posthopf.hopfcore import hopf_to_json, sweedler_h4
 from posthopf.triangleop import family_table, op_to_json_dict
@@ -362,6 +363,14 @@ def test_unknown_family(capsys):
     assert err.startswith("error: unknown family 'vii'")
 
 
+@pytest.mark.parametrize("ref", ["family:i:b=3", "family:ii:a=1/2:x"])
+def test_malformed_family_reference(capsys, ref):
+    code, out, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", ref)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad family reference")
+
+
 def test_families_render_deterministic(capsys):
     code1, out1, _ = run(capsys, "families")
     code2, out2, _ = run(capsys, "families")
@@ -521,6 +530,23 @@ def test_classify_limited_run_golden(tmp_path, capsys):
     assert code == 2
     assert "search limits exceeded; results incomplete" in out
     assert json_path.read_text("utf-8") == golden("classify-relaxed-generator32-max3.json")
+
+
+@pytest.mark.parametrize("mode, dropped, left", [("relaxed", "vi", 5), ("weak", "i", 0)])
+def test_classify_mismatch_is_an_axiom_verdict(tmp_path, capsys, monkeypatch, mode, dropped, left):
+    # with one built-in table missing, the family it matched is left over
+    builtins = classifier.builtin_families
+    monkeypatch.setattr(
+        classifier,
+        "builtin_families",
+        lambda: {label: op for label, op in builtins().items() if label != dropped},
+    )
+    json_path = tmp_path / "classify.json"
+    code, out, _ = run(capsys, "classify", "--mode", mode, "--json", str(json_path))
+    assert code == 1
+    assert json.loads(json_path.read_text("utf-8"))["match"]["unmatched_families"] == [left]
+    assert f"maximal family {left} (no built-in match)" in out
+    assert out.splitlines()[-1] == "classification MISMATCH"
 
 
 @pytest.mark.parametrize("argv", [("--mode", "weak"), ("--max-branches", "3")])

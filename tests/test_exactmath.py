@@ -139,6 +139,13 @@ def test_kernel_examples():
     ]
 
 
+def test_rref_and_kernel_reject_malformed_matrices():
+    with pytest.raises(ValueError):
+        rref([F(1, 0), F(1)])
+    with pytest.raises(ValueError):
+        kernel_basis([])
+
+
 def test_rref_of_int_matrix_is_exact():
     # an int pivot is read as a rational: int / int would give a float
     red, pivots = rref([[2, 1, 0], [0, 3, 1]])

@@ -26,8 +26,10 @@ from posthopf.ffenum import (
     row_candidates,
 )
 from posthopf.hopfcore import sweedler_h4
+from posthopf.multipoly import Poly, VarRegistry
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
+    TriangleOp,
     family_table,
     check_counit_absorption,
     check_unitality,
@@ -567,6 +569,15 @@ def test_enumeration_matches_family_evaluations_p5(enum_p5):
     assert enum_p5.count == diff.expected_count == len(family_evaluations(fams, 5)) == 14
 
 
+def test_family_evaluations_refuse_two_parameters():
+    reg = VarRegistry()
+    a, b = reg.var("a"), reg.var("b")
+    zero = Poly.constant(reg, 0)
+    op = TriangleOp(4, (((a, b, zero, zero),) * 4,) * 4)
+    with pytest.raises(ValueError, match="more than one parameter"):
+        family_evaluations({"ab": op}, 3)
+
+
 @pytest.mark.parametrize("p", [17, 31])
 def test_enumeration_matches_family_evaluations_past_13(p):
     h4 = sweedler_h4()
@@ -653,7 +664,7 @@ def own_conversion(mode):
     grouped = {0: [], 1: [], 2: [], 3: []}
     for constraint in classifier.generate_constraints(h4, op, mode).equations:
         terms = []
-        for mono, coeff in constraint.poly.terms():
+        for mono, coeff in constraint.residual.terms():
             slots = []
             for v, e in mono:
                 i, j, k = map(int, reg.name_of(v).split("_")[1:])

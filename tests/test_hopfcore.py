@@ -307,3 +307,5 @@ def test_json_rejects_malformed():
 def test_dimension_mismatch_errors(h4):
     with pytest.raises(ValueError):
         multiply(h4, (Fraction(1),), basis_element(h4, 0))
+    with pytest.raises(ValueError):
+        tensor_multiply(h4, (0,) * 15, (0,) * 16)

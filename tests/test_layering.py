@@ -5,7 +5,7 @@ facade (``__init__``, ``__main__``) sits above them all.  Imports happen at
 module level only, so the layering is visible where a module starts.
 Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
-oracle reads its slot map from the unknown table, never from variable names,
+oracle numbers each slot by its unknown's id, never by a variable name,
 and builds its constraint system itself, never from the classifier's cache,
 caching nothing keyed by monomials.  Every name a module or the facade
 lists in ``__all__`` exists on it.
@@ -131,7 +131,7 @@ def test_packed_monomials_stay_in_multipoly():
 
 
 def test_ffenum_reads_no_variable_names():
-    # the oracle numbers its unknowns from the classifier's unknown table, so
+    # an oracle slot is its unknown's id in the classifier's registry, so
     # renaming the classifier's indeterminates cannot move a slot
     tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
     calls = [

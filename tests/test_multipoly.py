@@ -377,7 +377,7 @@ def test_classify_coefficients_are_ints_unless_fractional(
     for result in results:
         _op, _reg, system = _cached_system(result.mode, result.parameterization)
         for constraint in system.equations:
-            assert_stored_form(constraint.poly)
+            assert_stored_form(constraint.residual)
         resolved = [b for b in result.branches if b.status == "resolved"]
         assert resolved
         for branch in result.branches:
@@ -430,7 +430,7 @@ def test_flat_canon_keys_compare_like_reference_pairs(p, q):
 def test_weak_generator32_keys_are_flat():
     _op, _reg, system = _cached_system("weak", "generator32")
     for constraint in system.equations:
-        poly = constraint.poly
+        poly = constraint.residual
         key = poly.canon_key()
         assert len(key) == 2 * len(poly.terms()), poly
         assert all(type(mk) is str for mk in key[0::2]), poly

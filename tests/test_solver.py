@@ -281,7 +281,7 @@ def test_every_integer_solution_has_a_resolved_branch(system):
     n = len(system.registry)
     for point in product(BOX, repeat=n):
         values = dict(enumerate(point))
-        if all(c.poly.evaluate(values) == 0 for c in system.equations):
+        if all(c.residual.evaluate(values) == 0 for c in system.equations):
             assert any(reproduces(b, point) for b in resolved), point
 
 
@@ -320,4 +320,4 @@ def test_resolved_branches_are_sound_and_disjoint(system):
         assert hits <= 1, point
         if hits:
             values = dict(enumerate(point))
-            assert all(c.poly.evaluate(values) == 0 for c in system.equations), point
+            assert all(c.residual.evaluate(values) == 0 for c in system.equations), point

@@ -6,7 +6,8 @@ from importlib import resources
 import pytest
 
 from posthopf.hopfcore import basis_element, sweedler_h4
-from posthopf.multipoly import Poly
+from posthopf.multipoly import Poly, VarRegistry
+from posthopf.solver import Constraint
 from posthopf.triangleop import (
     FAMILY_LABELS,
     TriangleOp,
@@ -113,6 +114,22 @@ def eps_action_op(h4):
     return TriangleOp(4, table)
 
 
+def test_apply_rejects_an_element_of_the_wrong_length(h4):
+    with pytest.raises(ValueError):
+        apply(h4, family_table("iii"), (0, 0, 0), unit_vec(V))
+
+
+def test_op_ring_rejects_mixed_and_unsupported_entries():
+    def with_first_entry(entry):
+        rows = rational_op([[zeros()] * 4] * 4).table
+        return TriangleOp(4, (((entry,) + rows[0][0][1:],) + rows[0][1:],) + rows[1:])
+
+    with pytest.raises(ValueError, match="mixes"):
+        op_ring(with_first_entry(VarRegistry().var("a")))
+    with pytest.raises(ValueError, match="unsupported"):
+        op_ring(with_first_entry(0.5))
+
+
 def test_coalgebra_hom_examples(h4):
     assert check_coalgebra_hom(h4, family_table("vi")).passed
     assert check_coalgebra_hom(h4, trivial_op(h4)).passed
@@ -154,6 +171,13 @@ def test_unitality_split(h4):
     assert not rep4.passed and rep4.first_failure().indices[0] == V
     rep6 = check_unitality(h4, family_table("vi"))
     assert not rep6.passed and rep6.first_failure().indices[0] == G
+
+
+def test_residuals_are_constraints(h4):
+    # a check records each residual as the solver's own constraint record
+    entries = check_unitality(h4, family_table("iv")).entries
+    assert entries and all(isinstance(e, Constraint) for e in entries)
+    assert all(e.provenance().startswith("unitality@") for e in entries)
 
 
 def test_counit_absorption_examples(h4):
