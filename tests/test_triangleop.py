@@ -120,14 +120,12 @@ def test_apply_rejects_an_element_of_the_wrong_length(h4):
 
 
 def test_op_ring_rejects_mixed_and_unsupported_entries():
-    def with_first_entry(entry):
-        rows = rational_op([[zeros()] * 4] * 4).table
-        return TriangleOp(4, (((entry,) + rows[0][0][1:],) + rows[0][1:],) + rows[1:])
-
-    with pytest.raises(ValueError, match="mixes"):
-        op_ring(with_first_entry(VarRegistry().var("a")))
-    with pytest.raises(ValueError, match="unsupported"):
-        op_ring(with_first_entry(0.5))
+    cells = [[list(zeros()) for _ in range(4)] for _ in range(4)]
+    for entry, message in ((VarRegistry().var("a"), "mixes"), (0.5, "unsupported")):
+        cells[0][0][0] = entry
+        op = TriangleOp(4, tuple(tuple(map(tuple, row)) for row in cells))
+        with pytest.raises(ValueError, match=message):
+            op_ring(op)
 
 
 def test_coalgebra_hom_examples(h4):
