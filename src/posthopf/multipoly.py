@@ -405,16 +405,7 @@ class Poly:
                 m = rest + m2
                 if m & _OVER:
                     raise _degree_error()
-                c2 *= c
-                got = out.get(m)
-                if got is not None:
-                    c2 += got
-                    if not c2:
-                        del out[m]
-                        continue
-                if type(c2) is not int and c2.denominator == 1:
-                    c2 = c2.numerator
-                out[m] = c2
+                _accumulate(out, m, c * c2)
         return _poly(self.registry, out)
 
     def compose(self, mapping: dict[int, "Poly"], registry: VarRegistry) -> "Poly":
