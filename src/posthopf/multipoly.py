@@ -245,12 +245,12 @@ class Poly:
     integral and a ``Fraction`` otherwise, as given; every operation below
     returns coefficients in that form."""
 
-    __slots__ = ("registry", "_terms", "_str", "_canon", "_support", "_lincand", "_content")
+    __slots__ = ("registry", "_terms", "_canon", "_support", "_lincand", "_content")
 
     def __init__(self, registry: VarRegistry, terms: dict):
         self.registry = registry
         self._terms = {_pack(mono): c for mono, c in terms.items()}
-        self._str = self._canon = self._support = self._lincand = self._content = None
+        self._canon = self._support = self._lincand = self._content = None
 
     # -- construction ------------------------------------------------------
 
@@ -467,19 +467,16 @@ class Poly:
         return bool(self._terms)
 
     def to_string(self) -> str:
-        if self._str is None:
-            if not self._terms:
-                self._str = "0"
+        if not self._terms:
+            return "0"
+        parts: list[str] = []
+        for mono, c in self.terms():
+            body = self._render_term(abs(c), mono)
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
             else:
-                parts: list[str] = []
-                for mono, c in self.terms():
-                    body = self._render_term(abs(c), mono)
-                    if not parts:
-                        parts.append(body if c > 0 else "-" + body)
-                    else:
-                        parts.append((" + " if c > 0 else " - ") + body)
-                self._str = "".join(parts)
-        return self._str
+                parts.append((" + " if c > 0 else " - ") + body)
+        return "".join(parts)
 
     def canon_key(self) -> tuple:
         """Hashable, totally ordered canonical key of the monic
@@ -555,7 +552,7 @@ def _poly(registry: VarRegistry, terms: dict) -> Poly:
     p = _new(Poly)
     p.registry = registry
     p._terms = terms
-    p._str = p._canon = p._support = p._lincand = p._content = None
+    p._canon = p._support = p._lincand = p._content = None
     return p
 
 
