@@ -189,15 +189,6 @@ def _accumulate(terms: dict, mono: int, c) -> None:
     terms[mono] = c
 
 
-def _quotient(c, lead):
-    """``c / lead`` for nonzero coefficients, as a Poly stores it; exact
-    integer division where ``lead`` divides ``c``."""
-    if type(c) is int and type(lead) is int:
-        q, r = divmod(c, lead)
-        return Fraction(c, lead) if r else q
-    return _num(c / lead)
-
-
 class _Memo(dict):
     """``key -> fn(key)``, filled on a miss and emptied when it holds
     ``bound`` entries, so ``map(memo.__getitem__, keys)`` reads a hit with
@@ -230,8 +221,8 @@ _QUOTIENTS_PER_LEAD = 1 << 10
 
 
 def _quotients_by(lead) -> _Memo:
-    """The memo of ``c -> _quotient(c, lead)`` for one ``lead``."""
-    return _Memo(lambda c: _quotient(c, lead), _QUOTIENTS_PER_LEAD)
+    """The memo of ``c -> c / lead``, as a Poly stores it, for one ``lead``."""
+    return _Memo(lambda c: _num(Fraction(c) / lead), _QUOTIENTS_PER_LEAD)
 
 
 _QUOTIENTS = _Memo(_quotients_by, 1 << 7)
