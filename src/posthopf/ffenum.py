@@ -270,8 +270,7 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
     of the deepest slot it reads (level 0, before any free slot is fixed,
     when it reads only constant pivots)."""
     local_monos = list(_LOCALS)
-    # each linear equation scaled to a leading 1, so that repeats reduce only once
-    matrix = set()
+    matrix = []
     nonlinear = []
     for terms in system[row_index]:
         terms = [(c % p, local_monos[_SPLITS[mid][1]]) for c, mid in terms if c % p]
@@ -285,10 +284,9 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
             if mono:
                 coeffs[mono[0][0]] = c
             else:
-                coeffs[8] = -c
-        inv = pow(next(c for c in coeffs if c), -1, p)
-        matrix.add(tuple(c * inv % p for c in coeffs))
-    reduced, pivots = rref(sorted(matrix), p)
+                coeffs[8] = -c % p
+        matrix.append(coeffs)
+    reduced, pivots = rref(matrix, p)
     if pivots[-1:] == [8]:
         return []
     free = [c for c in range(8) if c not in pivots]
