@@ -250,15 +250,10 @@ def extend_generators(H: HopfStructure, columns: dict) -> TriangleOp:
 
 # -- the built-in families -------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _family_data() -> dict:
-    text = resources.files("posthopf").joinpath("families.json").read_text("utf-8")
-    return json.loads(text)
-
-
 @lru_cache(maxsize=None)
 def _symbolic_family(which: str) -> TriangleOp:
-    data = _family_data()["families"][which]
+    text = resources.files("posthopf").joinpath("families.json").read_text("utf-8")
+    data = json.loads(text)["families"][which]
     reg = VarRegistry()
     if data["param"]:
         reg.add(data["param"])
@@ -272,14 +267,13 @@ def family_table(which: str, param=None) -> TriangleOp:
     if which not in FAMILY_LABELS:
         raise ValueError(f"unknown family {which!r}; expected one of {FAMILY_LABELS}")
     symbolic = _symbolic_family(which)
-    has_param = _family_data()["families"][which]["param"] is not None
     if param is None:
         return symbolic
-    if not has_param:
+    params = table_params(symbolic)
+    if not params:
         raise ValueError(f"family {which!r} takes no parameter")
     value = Fraction(param)
-    reg = symbolic.table[0][0][0].registry
-    vid = reg.id_of(_family_data()["families"][which]["param"])
+    (vid,) = params
     table = map_table(lambda entry: entry.substitute(vid, value).constant_value(), symbolic.table)
     return TriangleOp(symbolic.dim, table)
 
