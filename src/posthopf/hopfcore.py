@@ -323,7 +323,6 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
 
 # -- group-likes and skew-primitives ------------------------------------------
 
-@lru_cache(maxsize=None)
 def group_likes(H: HopfStructure) -> tuple[tuple, ...]:
     """All rational solutions of the group-like system (coproduct equals the
     tensor square, counit 1), obtained with the branch solver.  Raises if any
