@@ -359,8 +359,7 @@ def cmd_grouplikes(args) -> RunReport:
     names = _display_names(H, args.unicode)
     elements = group_likes(H)
     rendered = [render_element(vec, names) for vec in elements]
-    payload = {"group_likes": [[str(c) for c in vec] for vec in elements]}
-    return RunReport(PASS, "group-like elements: {" + ", ".join(rendered) + "}\n", payload)
+    return RunReport(PASS, "group-like elements: {" + ", ".join(rendered) + "}\n", {})
 
 
 def cmd_primitives(args) -> RunReport:
@@ -377,13 +376,7 @@ def cmd_primitives(args) -> RunReport:
     ]
     if basis:
         lines.append("basis: {" + ", ".join(rendered) + "}")
-    payload = {
-        "g": names[gi],
-        "h": names[hi],
-        "dimension": len(basis),
-        "basis": [[str(c) for c in vec] for vec in basis],
-    }
-    return RunReport(PASS, "\n".join(lines) + "\n", payload)
+    return RunReport(PASS, "\n".join(lines) + "\n", {})
 
 
 # -- argument parsing and dispatch ---------------------------------------------------
