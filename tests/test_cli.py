@@ -363,6 +363,13 @@ def test_unknown_family(capsys):
     assert err.startswith("error: unknown family 'vii'")
 
 
+def test_parameter_of_a_parameterless_family(capsys):
+    code, out, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", "family:iii:a=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: family 'iii' takes no parameter\n"
+
+
 @pytest.mark.parametrize("ref", ["family:i:b=3", "family:ii:a=1/2:x"])
 def test_malformed_family_reference(capsys, ref):
     code, out, err = run(capsys, "verify", "--hopf", "builtin:h4", "--op", ref)

@@ -109,6 +109,12 @@ def test_row_candidates_drop_what_vanishes_mod_p():
     assert len(free) == 3**6
     assert row_candidates(3, 0, {0: pins + [[(3, x1), (6, 0)]]}) == free
     assert row_candidates(3, 0, {0: pins + [[(3, x1), (4, x2)]]}) == [c for c in free if c[2] == 0]
+    # a linear constraint is row-reduced as read: a scaled repeat of a pin
+    # changes nothing, and a scaled copy whose constant disagrees leaves none
+    for p in (3, 5):
+        scaled = [[(k * c, m) for c, m in pin] for k, pin in zip((2, p - 1), pins)]
+        assert row_candidates(p, 0, {0: pins + scaled}) == row_candidates(p, 0, {0: pins})
+    assert row_candidates(3, 0, {0: pins + [[(2, x0), (2, x1), (-1, 0)]]}) == []
 
 
 def decode(terms):
