@@ -68,22 +68,18 @@ def test_family_entries():
     assert fam5.table[G][G] == tuple(Poly.constant(fam5.table[0][0][0].registry, c) for c in (1, 0, 0, 0))
 
 
-def test_family_at_a_parameter_evaluates_each_entry():
-    a = Fraction(-2, 5)
-    symbolic = family_table("ii")
-    vid = symbolic.table[0][0][0].registry.id_of("a")
-    concrete = family_table("ii", a)
-    assert op_ring(concrete) == "rational"
-    assert concrete.table == tuple(
-        tuple(tuple(entry.evaluate({vid: a}) for entry in cell) for cell in row)
-        for row in symbolic.table
-    )
-
-
 def test_family_param_handling():
     fam = family_table("i", Fraction(3))
     assert op_ring(fam) == "rational"
     assert fam.table[V][V] == (0, 0, 3, 0)
+    # a concrete table is the symbolic one evaluated entry by entry
+    a = Fraction(-2, 5)
+    symbolic = family_table("ii")
+    vid = symbolic.table[0][0][0].registry.id_of("a")
+    assert family_table("ii", a).table == tuple(
+        tuple(tuple(entry.evaluate({vid: a}) for entry in cell) for cell in row)
+        for row in symbolic.table
+    )
     with pytest.raises(ValueError):
         family_table("iii", Fraction(1))
     with pytest.raises(ValueError):
