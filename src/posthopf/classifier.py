@@ -1,9 +1,9 @@
 """Symbolic classification of the operation tables on the Sweedler algebra.
 
 The pipeline: parameterize an unknown table with fresh indeterminates
-(:func:`build_unknown_op`), turn the axiom residuals into a polynomial
-constraint system (:func:`generate_constraints`), and explore it with the
-branch solver of :mod:`posthopf.solver`.  Resolved branches are then
+(:func:`~posthopf.triangleop.build_unknown_op`), turn the axiom residuals
+into a polynomial constraint system (:func:`generate_constraints`), and
+explore it with the branch solver of :mod:`posthopf.solver`.  Resolved branches are then
 deduplicated and subsumed into maximal families and matched against the
 built-in tables.
 
@@ -39,7 +39,7 @@ from .triangleop import (
     FAMILY_LABELS,
     TriangleOp,
     axiom_suite,
-    extend_generators,
+    build_unknown_op,
     family_table,
     map_table,
     op_serial,
@@ -53,7 +53,6 @@ __all__ = [
     "ClassificationResult",
     "MatchReport",
     "SolverVerificationError",
-    "build_unknown_op",
     "generate_constraints",
     "classify",
     "subsume",
@@ -62,8 +61,6 @@ __all__ = [
     "match_families",
     "classification_to_json_dict",
 ]
-
-PARAMETERIZATIONS = ("generator32", "full64")
 
 
 @dataclass
@@ -86,24 +83,7 @@ class ClassificationResult:
     timings: dict = field(default_factory=dict)
 
 
-# -- unknown table construction ---------------------------------------------------
-
-def build_unknown_op(
-    H4: HopfStructure, parameterization: str = "generator32"
-) -> tuple[TriangleOp, VarRegistry]:
-    """Fresh-indeterminate table: 32 unknowns ``c_i_j_k`` on the generator
-    columns g and v, or 64 unknowns, one per table coefficient; either way
-    :func:`extend_generators` completes the columns not given."""
-    if parameterization not in PARAMETERIZATIONS:
-        raise ValueError(f"unknown parameterization {parameterization!r}")
-    reg = VarRegistry()
-    given = (1, 2) if parameterization == "generator32" else range(H4.dim)
-    columns = {j: [] for j in given}
-    for i in range(H4.dim):  # row, then column, then k: ids fix the solver's tie-breaks
-        for j in given:
-            columns[j].append([reg.var(f"c_{i}_{j}_{k}") for k in range(H4.dim)])
-    return extend_generators(H4, columns), reg
-
+# -- constraint generation ---------------------------------------------------------
 
 def generate_constraints(
     H: HopfStructure, op: TriangleOp, mode: str = "relaxed"

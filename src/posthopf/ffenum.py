@@ -14,12 +14,17 @@ product rule forces the remaining columns, the same completion the
 classifier uses.
 
 The constraints are integer term lists over interned monomials in 32
-slots (``8*row + k``, each its unknown's id in the classifier's registry),
-converted once per process from the weak generation; the relaxed system is
-the same term lists without unitality's.  A monomial is interned as a chain of
-links (row, local id, rest id), one per row it reads, so the conversion
-keeps one link per monomial id and one entry per local monomial, and no
-table keyed by whole monomials.  A search starts from them unreduced.
+slots (``8*row + k``, each its unknown's id in the unknown table's
+registry), generated once per process for the weak suite: its checks run
+one at a time on the unknown table, each residual is converted to its term
+list as it comes and then dropped, and a residual equal to an earlier one
+up to a nonzero rational factor (the same primitive term list up to sign)
+is skipped.  No polynomial, canonical key or monomial key outlives the
+generation.  The relaxed system is the same term lists without
+unitality's.  A monomial is interned as a chain of links (row, local id,
+rest id), one per row it reads, so the conversion keeps one link per
+monomial id and one entry per local monomial, and no table keyed by whole
+monomials.  A search starts from them unreduced.
 Each chosen row is folded (substituted, mod p) into the constraints of
 every deeper row once, and the folded system is carried down the
 recursion, so all children of a prefix share that work.
@@ -43,11 +48,13 @@ Z -> F_p is a ring map, so that is the verdict over F_p.  The symbolic
 families are evaluated over the rationals at each parameter value and then
 reduced the same way.
 
-The oracle stays independent of the branch solver: it shares the constraint
-system that ``classifier`` generates, but none of the solver's moves
-(substitution order, factor splits, side conditions).  Every point it keeps
-satisfies every constraint of its row, and every emitted table passes the
-full axiom suite over F_p.
+The oracle stays independent of the classifier and the branch solver: its
+constraints are those of the classifier's weak system, in the same order,
+since both read the one suite of :func:`~posthopf.triangleop.axiom_checks`
+on the same unknown table, but it generates them itself and shares none of
+the solver's moves (substitution order, factor splits, side conditions).
+Every point it keeps satisfies every constraint of its row, and every
+emitted table passes the full axiom suite over F_p.
 """
 
 from __future__ import annotations
@@ -56,14 +63,16 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
-from . import classifier
 from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
     TriangleOp,
+    axiom_checks,
     axiom_suite,
+    build_unknown_op,
     extend_generators,
     map_table,
     op_serial,
@@ -151,28 +160,69 @@ def _intern(mono: tuple) -> int:
     return mid
 
 
-@lru_cache(maxsize=None)
-def _generator_terms() -> tuple:
-    """The weak constraints of the generator parameterization as ``(axiom,
-    depth, terms)`` in generation order: ``terms`` is the integer term list
-    ``[(coeff, mono id), ...]`` and ``depth`` the highest row in its
-    support.  A slot is its unknown's id: the unknown table registers
-    ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v`` coordinate k
-    as ``8*row + 4 + k``, so ``slot >> 3`` is the row and ``slot & 7`` the
-    local slot, the place in that row's candidate tuple."""
+def _weak_residuals():
+    """The residuals of the weak suite on the generator32 unknown table, as
+    :class:`~posthopf.solver.Constraint` entries in suite order.  The
+    checks run one at a time, and each check's entries are handed out one
+    by one and released, so no more than one check's residuals are alive
+    at once, and each of them only until it is converted."""
     h4 = sweedler_h4()
-    op, _reg = classifier.build_unknown_op(h4, "generator32")
+    op, _reg = build_unknown_op(h4, "generator32")
+    for _name, check in axiom_checks("weak"):
+        pending = list(check(h4, op).entries)
+        pending.reverse()
+        while pending:
+            yield pending.pop()
+
+
+def _class_key(terms) -> tuple:
+    """The term list ``[(coeff, mono), ...]``, integer coefficients, divided
+    by the gcd of its coefficients and signed so that its first coefficient
+    is positive, flattened to ``(c_0, mono_0, c_1, mono_1, ...)``.  Two
+    polynomials' term lists in their print order have equal keys exactly
+    when the polynomials are equal up to a nonzero rational factor, which
+    is what equal :meth:`Poly.canon_key` means."""
+    g = math.gcd(*(c for c, _mono in terms))
+    if terms[0][0] < 0:
+        g = -g
+    return tuple(chain.from_iterable((c // g, mono) for c, mono in terms))
+
+
+def _convert(residuals) -> tuple:
+    """``(axiom, depth, terms)`` of the first residual of each class of
+    ``residuals`` (constraints with integer residuals), in their order: two
+    residuals are of one class when they are equal up to a nonzero rational
+    factor.  ``terms`` is the residual's integer term list ``[(coeff, mono
+    id), ...]`` in print order, as it is and not normalized, and ``depth``
+    the highest row in its support.  Each residual is converted as it comes
+    and then dropped, and only the term lists are kept."""
+    seen: set = set()
     converted = []
-    for constraint in classifier.generate_constraints(h4, op, "weak").equations:
+    for constraint in residuals:
         terms, depth = [], 0
         for mono, coeff in constraint.residual.terms():
-            if coeff.denominator != 1:
+            if type(coeff) is not int:
                 raise AssertionError("generator system has non-integer coefficient")
             if mono:
                 depth = max(depth, mono[-1][0] >> 3)
-            terms.append((int(coeff), _intern(mono)))
-        converted.append((constraint.axiom, depth, terms))
+            terms.append((coeff, _intern(mono)))
+        key = _class_key(terms)
+        if key not in seen:
+            seen.add(key)
+            converted.append((constraint.axiom, depth, terms))
     return tuple(converted)
+
+
+@lru_cache(maxsize=None)
+def _generator_terms() -> tuple:
+    """The weak constraints of the generator parameterization, converted by
+    :func:`_convert` from :func:`_weak_residuals`: the same constraints in
+    the same order as the classifier's weak generation.  A slot is its
+    unknown's id: the unknown table registers ``row |> g`` coordinate k as
+    ``8*row + k`` and ``row |> v`` coordinate k as ``8*row + 4 + k``, so
+    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
+    that row's candidate tuple."""
+    return _convert(_weak_residuals())
 
 
 @lru_cache(maxsize=None)

@@ -209,9 +209,11 @@ class _Memo(dict):
 
 
 # every canon_key reads its monomials' keys here, so all keys share one string
-# per monomial; the four classify jobs, run in one process, key 11,056
-# distinct monomials (the weak generator32 generation 9,002 of them), fewer
-# than the bound, so the memo is never emptied there
+# per monomial; nothing else fills the memo, so a process that computes no
+# canonical key (an enumerate run) keeps none.  The four classify jobs, run
+# in one process, key 11,056 distinct monomials (the weak generator32
+# generation 9,002 of them), fewer than the bound, so the memo is never
+# emptied there
 _MONO_KEYS = _Memo(_mono_key, 1 << 15)
 
 # one classify pass (the four jobs in one process) divides by 12 distinct
@@ -291,7 +293,8 @@ class Poly:
         return tuple((_mono_items(m), terms[m]) for m in self._sorted_monos())
 
     def _sorted_monos(self):
-        return sorted(self._terms, key=_MONO_KEYS.__getitem__, reverse=True)
+        # keys computed for this sort only: the memo is canon_key's
+        return sorted(self._terms, key=_mono_key, reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Candidate binary operations on a Hopf algebra as structure-constant
-tables, with residual-based checkers for every operation axiom, plus the six
+tables, with residual-based checkers for every operation axiom, the tables
+of unknowns that the classifier and the F_p oracle solve for, and the six
 built-in classified families on the Sweedler algebra.
 
 Every checker reports the exact residual at each failing basis combination
@@ -44,7 +45,10 @@ __all__ = [
     "check_weighted_assoc",
     "check_unitality",
     "check_counit_absorption",
+    "axiom_checks",
     "axiom_suite",
+    "PARAMETERIZATIONS",
+    "build_unknown_op",
     "extend_generators",
     "FAMILY_LABELS",
     "family_table",
@@ -190,22 +194,30 @@ def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     return rb.done()
 
 
-def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
-    """The defining axioms of the mode, in fixed order: coalgebra
-    homomorphism, product rule and weighted associativity, plus unitality in
-    weak mode.  The symbolic checks, the solver's constraint system and the
-    F_p oracle all use this one definition; the order fixes the order of the
-    solver's equations."""
+def axiom_checks(mode: str) -> tuple:
+    """The defining axioms of the mode as ``(name, check)`` pairs, in fixed
+    order: coalgebra homomorphism, product rule and weighted
+    associativity, plus unitality in weak mode.  This is the one definition
+    of the suite: :func:`axiom_suite` runs it whole, and the F_p oracle runs
+    it check by check.  The order fixes the order of the solver's
+    equations and of the oracle's constraints."""
     if mode not in ("relaxed", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
-    suite = {
-        "coalgebra_hom": check_coalgebra_hom(H, op),
-        "distributivity": check_distributivity(H, op),
-        "weighted_assoc": check_weighted_assoc(H, op),
-    }
+    checks = (
+        ("coalgebra_hom", check_coalgebra_hom),
+        ("distributivity", check_distributivity),
+        ("weighted_assoc", check_weighted_assoc),
+    )
     if mode == "weak":
-        suite["unitality"] = check_unitality(H, op)
-    return suite
+        checks += (("unitality", check_unitality),)
+    return checks
+
+
+def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
+    """The report of every check of :func:`axiom_checks` on ``op``, keyed
+    by name in suite order.  The symbolic checks, the classifier's
+    constraint system and the F_p oracle's leaf recheck all read it."""
+    return {name: check(H, op) for name, check in axiom_checks(mode)}
 
 
 # -- generator-column completion ------------------------------------------------
@@ -246,6 +258,28 @@ def extend_generators(H: HopfStructure, columns: dict) -> TriangleOp:
             for i in range(n)
         ]
     return TriangleOp(n, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+
+
+# -- unknown tables ----------------------------------------------------------------
+
+PARAMETERIZATIONS = ("generator32", "full64")
+
+
+def build_unknown_op(
+    H4: HopfStructure, parameterization: str = "generator32"
+) -> tuple[TriangleOp, VarRegistry]:
+    """Fresh-indeterminate table: 32 unknowns ``c_i_j_k`` on the generator
+    columns g and v, or 64 unknowns, one per table coefficient; either way
+    :func:`extend_generators` completes the columns not given."""
+    if parameterization not in PARAMETERIZATIONS:
+        raise ValueError(f"unknown parameterization {parameterization!r}")
+    reg = VarRegistry()
+    given = (1, 2) if parameterization == "generator32" else range(H4.dim)
+    columns = {j: [] for j in given}
+    for i in range(H4.dim):  # row, then column, then k: ids fix the solver's tie-breaks
+        for j in given:
+            columns[j].append([reg.var(f"c_{i}_{j}_{k}") for k in range(H4.dim)])
+    return extend_generators(H4, columns), reg
 
 
 # -- the built-in families -------------------------------------------------------

@@ -11,7 +11,6 @@ from posthopf.classifier import (
     Family,
     SolverVerificationError,
     _cached_system,
-    build_unknown_op,
     builtin_families,
     canonical_table_key,
     classification_to_json_dict,
@@ -24,7 +23,13 @@ from posthopf.classifier import (
 )
 from posthopf.hopfcore import multiply, sweedler_h4
 from posthopf.multipoly import Poly, VarRegistry, parse_poly
-from posthopf.triangleop import TriangleOp, axiom_suite, check_unitality, family_table
+from posthopf.triangleop import (
+    TriangleOp,
+    axiom_suite,
+    build_unknown_op,
+    check_unitality,
+    family_table,
+)
 
 ONE, G, V, GV = 0, 1, 2, 3
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from posthopf.multipoly import Poly, VarRegistry
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
     TriangleOp,
+    build_unknown_op,
     family_table,
     check_counit_absorption,
     check_unitality,
@@ -332,15 +334,15 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
     # 16), is the constant 1 mod 3 before any row is chosen: row 0 is scanned,
     # and each of its 4 candidates dies at its fold, which leaves depth 2
     # dead.  Mod 5 depth 2 stays alive after the fold of row 0.
-    generate = classifier.generate_constraints
+    weak_residuals = ffenum._weak_residuals
+    op, _reg = build_unknown_op(sweedler_h4(), "generator32")
 
-    def with_dead_constraint(h, op, mode):
-        base = generate(h, op, mode)
-        dead = Constraint(3 * op.table[V][1][0] + 1, "hand-built", ())
-        return dataclasses.replace(base, equations=[*base.equations, dead])
+    def with_dead_constraint():
+        yield from weak_residuals()
+        yield Constraint(3 * op.table[V][1][0] + 1, "hand-built", ())
 
     with monkeypatch.context() as m:
-        m.setattr(classifier, "generate_constraints", with_dead_constraint)
+        m.setattr(ffenum, "_weak_residuals", with_dead_constraint)
         # fresh caches, so that neither the injected system nor the real one leaks
         for name in ("_generator_terms", "_system_terms"):
             m.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
@@ -461,9 +463,8 @@ def enumerate_p3_report(tmp_path, imports, report):
 
 
 def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
-    # the oracle converts generate_constraints' output itself, so a fresh
-    # enumerate run keeps no Poly system alive in any of the classifier's
-    # caches: the last line is the exit code, _cached_system's size, and then
+    # the oracle generates its system itself, so a fresh enumerate run
+    # keeps no Poly system alive in any of the classifier's caches: the last line is the exit code, _cached_system's size, and then
     # name=size for every cached function the classifier defines
     caches = (
         "classifier._cached_system.cache_info().currsize, *sorted("
@@ -483,6 +484,119 @@ def test_enumerate_keeps_no_decoded_monomials(tmp_path):
     # local monomial, and no decoded monomials
     report = "len(ffenum._SPLITS), len(ffenum._LOCALS)"
     assert enumerate_p3_report(tmp_path, "ffenum", report) == ["0", "9147", "237"]
+
+
+def fresh_intern_tables(m):
+    """Give ``ffenum`` empty intern tables under the monkeypatch ``m``, as
+    in a fresh process, so that a test's monomials do not stay interned."""
+    m.setattr(ffenum, "_SPLITS", [(-1, 0, 0)])
+    m.setattr(ffenum, "_LOCALS", {(): (0, 0)})
+    m.setattr(ffenum, "_IDS", {})
+
+
+# 32 slot-numbered unknowns, as the oracle's, for hand-made residuals
+SLOTS = VarRegistry()
+for _slot in range(32):
+    SLOTS.add(f"s{_slot}")
+
+# a few slots of every row, so that monomials repeat and read several rows
+slot_monomials = st.lists(
+    st.tuples(st.sampled_from((0, 1, 6, 9, 12, 19, 24, 31)), st.integers(1, 2)),
+    max_size=3,
+    unique_by=lambda factor: factor[0],
+).map(lambda factors: tuple(sorted(factors)))
+integer_polys = st.dictionaries(
+    slot_monomials, st.integers(-6, 6).filter(bool), min_size=1, max_size=4
+).map(lambda terms: Poly(SLOTS, terms))
+# nonzero integer scales; a ratio of two of them is any rational multiple
+# these draws reach, 1/3 and -3 among them
+scales = st.sampled_from((1, -1, 2, 3, -3, 6, -4))
+
+
+def term_list(poly):
+    return [(c, mono) for mono, c in poly.terms()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_polys, integer_polys, scales, scales)
+@example(Poly(SLOTS, {((0, 1),): 2, (): -4}), Poly(SLOTS, {((0, 1),): 1}), 3, -1)
+@example(Poly(SLOTS, {((9, 2),): -1, ((1, 1), (24, 1)): 3}), Poly(SLOTS, {(): 1}), -3, 3)
+def test_class_key_agrees_with_canon_key(p, q, a, b):
+    # the oracle's key of an integer term list is equal for two integer
+    # polynomials exactly when their canonical keys are: a p and b p, any
+    # nonzero rational multiple of each other, share it, and p and q share
+    # it only when canon_key says they are equal up to a factor
+    for x, y in ((p * a, p * b), (p * a, q * b), (p, q)):
+        same = ffenum._class_key(term_list(x)) == ffenum._class_key(term_list(y))
+        assert same == (x.canon_key() == y.canon_key())
+    assert ffenum._class_key(term_list(p * a)) == ffenum._class_key(term_list(p * b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(integer_polys, scales), min_size=1, max_size=8))
+@example([(Poly(SLOTS, {((6, 1),): 1, (): 1}), 3), (Poly(SLOTS, {((6, 1),): 1, (): 1}), -1)])
+def test_convert_keeps_each_first_residual_as_it_is(draws):
+    # every poly is drawn once and again at a scale, in a shuffled order; the
+    # conversion keeps one entry per canon_key class, the first residual of
+    # it in input order, with its own coefficients, not normalized
+    stream = [p for p, _scale in draws] + [p * scale for p, scale in draws]
+    random.Random(len(stream)).shuffle(stream)
+    residuals = [Constraint(p, f"r{i}", ()) for i, p in enumerate(stream)]
+    firsts: dict = {}
+    for constraint in residuals:
+        firsts.setdefault(constraint.residual.canon_key(), constraint)
+    with pytest.MonkeyPatch.context() as m:
+        fresh_intern_tables(m)
+        converted = ffenum._convert(iter(residuals))
+        got = [(axiom, depth, decode(terms)) for axiom, depth, terms in converted]
+    want = [
+        (c.axiom, max((s >> 3 for _c, mono in terms for s, _e in mono), default=0), terms)
+        for c in firsts.values()
+        for terms in [term_list(c.residual)]
+    ]
+    assert got == want
+
+
+def test_oracle_computes_no_canonical_key(monkeypatch):
+    # the oracle dedupes on integer term lists, so neither its generation
+    # nor a search computes a canonical key, and no monomial key is kept
+    calls = []
+    canon_key = Poly.canon_key
+
+    def counted(poly):
+        calls.append(poly)
+        return canon_key(poly)
+
+    cached = ffenum._generator_terms()
+    monkeypatch.setattr(Poly, "canon_key", counted)
+    for name in ("_generator_terms", "_system_terms"):
+        monkeypatch.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
+    assert ffenum._generator_terms.__wrapped__() == cached
+    report = enumerate_structures(EnumerationTask(3))
+    assert report.count == 10
+    assert calls == []
+
+
+def test_generation_peak_memory(monkeypatch):
+    # the generation releases each residual once it is converted and fills
+    # no monomial key memo: its tracemalloc peak is 3.2 MB.  Holding a whole
+    # check's residuals, or filling the memo from Poly.terms(), reads 4.7 MB
+    # each, and holding the whole Poly system with its canonical and
+    # monomial keys 6.3 MB
+    fresh_intern_tables(monkeypatch)
+    sweedler_h4()  # cached for the process, not part of the generation
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ffenum._generator_terms.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,7 +644,7 @@ def test_integer_lift_agrees_with_fp_suite(case):
     # mod p is the classifier's unknown table evaluated at the rows
     p, mode, rows = case
     h4 = sweedler_h4()
-    unknown_op, _reg = classifier.build_unknown_op(h4, "generator32")
+    unknown_op, _reg = build_unknown_op(h4, "generator32")
     assignment = {
         unknown_op.table[i][1 + half][k].support[0]: rows[i][4 * half + k]
         for i in range(4)
@@ -629,8 +743,6 @@ def test_structures_sorted_and_distinct(enum_p5):
 def test_compare_diff_directions(enum_p3):
     fams = builtin_families()
     # dropping one enumerated structure surfaces exactly one missing entry
-    import dataclasses
-
     trimmed = dataclasses.replace(
         enum_p3, structures=enum_p3.structures[1:], count=enum_p3.count - 1
     )

@@ -6,8 +6,8 @@ module level only, so the layering is visible where a module starts.
 Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
 oracle numbers each slot by its unknown's id, never by a variable name,
-and builds its constraint system itself, never from the classifier's cache,
-caching nothing keyed by monomials.  Every name a module or the facade
+and builds its constraint system itself, importing nothing from the
+classifier and caching nothing keyed by monomials.  Every name a module or the facade
 lists in ``__all__`` exists on it.
 """
 
@@ -151,6 +151,14 @@ def cached_builders(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.FunctionDef)
         and any("cache" in ast.unparse(d) for d in node.decorator_list)
     }
+
+
+def test_ffenum_imports_nothing_from_classifier():
+    # the oracle reads the suite and the unknown table from triangleop, below
+    # the classifier, so its system is its own: no Poly system, canonical
+    # key or classifier cache comes with it
+    tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
+    assert "classifier" not in package_imports(tree)
 
 
 def test_ffenum_does_not_share_the_classifier_cache():

@@ -12,6 +12,8 @@ from posthopf.triangleop import (
     FAMILY_LABELS,
     TriangleOp,
     apply,
+    axiom_checks,
+    axiom_suite,
     check_coalgebra_hom,
     check_counit_absorption,
     check_distributivity,
@@ -186,6 +188,25 @@ def test_residuals_are_constraints(h4):
     entries = check_unitality(h4, family_table("iv")).entries
     assert entries and all(isinstance(e, Constraint) for e in entries)
     assert all(e.provenance().startswith("unitality@") for e in entries)
+
+
+def test_axiom_suite_runs_the_ordered_checks(h4):
+    # the suite has one definition: axiom_suite reports the checks of
+    # axiom_checks under their names, in their order, and the weak suite is
+    # the relaxed one plus unitality
+    relaxed, weak = axiom_checks("relaxed"), axiom_checks("weak")
+    assert [name for name, _check in weak] == [
+        "coalgebra_hom", "distributivity", "weighted_assoc", "unitality",
+    ]
+    assert weak[:3] == relaxed and weak[3][1] is check_unitality
+    op = family_table("iv")
+    for mode, checks in (("relaxed", relaxed), ("weak", weak)):
+        suite = axiom_suite(h4, op, mode)
+        assert list(suite) == [name for name, _check in checks]
+        assert all(suite[name] == check(h4, op) for name, check in checks)
+    assert not suite["unitality"].passed
+    with pytest.raises(ValueError):
+        axiom_checks("strict")
 
 
 def test_counit_absorption_examples(h4):
