@@ -3,9 +3,9 @@
 The pipeline: parameterize an unknown table with fresh indeterminates
 (:func:`~posthopf.triangleop.build_unknown_op`), turn the axiom residuals
 into a polynomial constraint system (:func:`generate_constraints`), and
-explore it with the branch solver of :mod:`posthopf.solver`.  Resolved branches are then
-deduplicated and subsumed into maximal families and matched against the
-built-in tables.
+explore it with the branch solver of :mod:`posthopf.solver`.  Resolved
+branches are then deduplicated and subsumed into maximal families and
+matched against the built-in tables.
 
 The relaxed axioms are the weak ones without unitality, so each
 parameterization's constraints are generated once per process, for the weak

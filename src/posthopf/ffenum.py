@@ -163,9 +163,9 @@ def _intern(mono: tuple) -> int:
 def _weak_residuals():
     """The residuals of the weak suite on the generator32 unknown table, as
     :class:`~posthopf.solver.Constraint` entries in suite order.  The
-    checks run one at a time, and each check's entries are handed out one
-    by one and released, so no more than one check's residuals are alive
-    at once, and each of them only until it is converted."""
+    checks run one at a time, and each check's entries leave its list as
+    they are handed out, so a residual lives only until its consumer is
+    done with it."""
     h4 = sweedler_h4()
     op, _reg = build_unknown_op(h4, "generator32")
     for _name, check in axiom_checks("weak"):
@@ -188,17 +188,23 @@ def _class_key(terms) -> tuple:
     return tuple(chain.from_iterable((c // g, mono) for c, mono in terms))
 
 
-def _convert(residuals) -> tuple:
-    """``(axiom, depth, terms)`` of the first residual of each class of
-    ``residuals`` (constraints with integer residuals), in their order: two
-    residuals are of one class when they are equal up to a nonzero rational
-    factor.  ``terms`` is the residual's integer term list ``[(coeff, mono
-    id), ...]`` in print order, as it is and not normalized, and ``depth``
-    the highest row in its support.  Each residual is converted as it comes
-    and then dropped, and only the term lists are kept."""
+@lru_cache(maxsize=None)
+def _generator_terms() -> tuple:
+    """The weak constraints of the generator parameterization as ``(axiom,
+    depth, terms)``: the first residual of each class of
+    :func:`_weak_residuals`, in their order, two residuals being of one
+    class when they are equal up to a nonzero rational factor.  These are
+    the classifier's weak equations, in its order.  ``terms`` is the
+    residual's integer term list ``[(coeff, mono id), ...]`` in print
+    order, as it is and not normalized, and ``depth`` the highest row in
+    its support.  Each residual is converted as it comes and then dropped;
+    only the term lists are kept.  A slot is its unknown's id: the unknown
+    table registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |>
+    v`` coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
+    ``slot & 7`` the local slot, the place in that row's candidate tuple."""
     seen: set = set()
     converted = []
-    for constraint in residuals:
+    for constraint in _weak_residuals():
         terms, depth = [], 0
         for mono, coeff in constraint.residual.terms():
             if type(coeff) is not int:
@@ -211,18 +217,6 @@ def _convert(residuals) -> tuple:
             seen.add(key)
             converted.append((constraint.axiom, depth, terms))
     return tuple(converted)
-
-
-@lru_cache(maxsize=None)
-def _generator_terms() -> tuple:
-    """The weak constraints of the generator parameterization, converted by
-    :func:`_convert` from :func:`_weak_residuals`: the same constraints in
-    the same order as the classifier's weak generation.  A slot is its
-    unknown's id: the unknown table registers ``row |> g`` coordinate k as
-    ``8*row + k`` and ``row |> v`` coordinate k as ``8*row + 4 + k``, so
-    ``slot >> 3`` is the row and ``slot & 7`` the local slot, the place in
-    that row's candidate tuple."""
-    return _convert(_weak_residuals())
 
 
 @lru_cache(maxsize=None)
