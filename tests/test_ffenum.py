@@ -464,8 +464,9 @@ def enumerate_p3_report(tmp_path, imports, report):
 
 def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
     # the oracle generates its system itself, so a fresh enumerate run
-    # keeps no Poly system alive in any of the classifier's caches: the last line is the exit code, _cached_system's size, and then
-    # name=size for every cached function the classifier defines
+    # keeps no Poly system alive in any of the classifier's caches: the last
+    # line is the exit code, _cached_system's size, and then name=size for
+    # every cached function the classifier defines
     caches = (
         "classifier._cached_system.cache_info().currsize, *sorted("
         "f'{f.__name__}={f.cache_info().currsize}' for f in vars(classifier).values()"
