@@ -21,13 +21,15 @@ list as it comes and then dropped, and a residual equal to an earlier one
 up to a nonzero rational factor (the same primitive term list up to sign)
 is skipped.  No polynomial, canonical key or monomial key outlives the
 generation.  The relaxed system is the same term lists without
-unitality's.  A monomial is interned as a chain of links (row, local id,
-rest id), one per row it reads, so the conversion keeps one link per
-monomial id and one entry per local monomial, and no table keyed by whole
-monomials.  A search starts from them unreduced.
+unitality's.  A term list is one flat int tuple ``(c_0, mono_0, c_1,
+mono_1, ...)``, and a monomial id has one 8-bit digit per row, row 0's
+lowest: the local id of the row's part, 0 when it reads nothing of the
+row.  So the conversion keeps one entry per local monomial and no table
+keyed by whole monomials.  A search starts from the term lists unreduced.
 Each chosen row is folded (substituted, mod p) into the constraints of
-every deeper row once, and the folded system is carried down the
-recursion, so all children of a prefix share that work.
+every deeper row once, which shifts each id down one digit, and the folded
+system is carried down the recursion, so all children of a prefix share
+that work.
 A depth whose constraints include one folded to a nonzero constant is
 dead; a prefix with a dead depth is pruned at once, its next row neither
 scanned nor descended into, since no later row can change a constant.  A
@@ -63,7 +65,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
@@ -117,46 +118,35 @@ class EnumerationReport:
 
 # -- the constraint system over interned monomials --------------------------------
 
-# Monomials ((slot, exp), ...) by ascending slot are interned as ints, 0 the
-# monomial 1.  An id's split is (row of its first slot, local id of that row's
-# part, id of the rest); _LOCALS maps each part, as a local monomial
-# ((slot & 7, exp), ...), to (local id, mask of its slots), alike in every row;
-# its keys in insertion order are the local monomials by local id, and the
-# split of the monomial 1 names local id 0, the local monomial 1.  _IDS maps
-# each split but that of the monomial 1 back to its id.
-_SPLITS: list[tuple] = [(-1, 0, 0)]
+# Monomials ((slot, exp), ...) by ascending slot are interned as ints with one
+# _DIGIT_BITS-bit digit per row, row 0's lowest: the local id of that row's
+# part, 0 when the monomial reads nothing of the row, so 0 is the monomial 1.
+# _LOCALS maps each part, as a local monomial ((slot & 7, exp), ...), to
+# (local id, mask of its slots), alike in every row; its keys in insertion
+# order are the local monomials by local id, local id 0 the local monomial 1.
+_DIGIT_BITS = 8
 _LOCALS: dict[tuple, tuple] = {(): (0, 0)}
-_IDS: dict[tuple, int] = {}
 
 
 def _intern(mono: tuple) -> int:
-    """The id of ``mono``, interned as the chain of its splits: each row's
-    part is interned as a local monomial, first row first, and then the
-    links (row, local id, rest id) from the last row back to the first,
-    each looked up in _IDS.  Equal monomials, and equal tails, share their
-    links, and nothing is kept per monomial but its own link."""
-    parts = []
-    row = -1
+    """The id of ``mono``: each row's part is interned as a local monomial,
+    and its local id is that row's digit.  Raises OverflowError rather than
+    let a new local id outgrow its digit."""
+    parts: dict[int, list] = {}
     for s, e in mono:
-        if s >> 3 != row:
-            row = s >> 3
-            part = []
-            parts.append((row, part))
-        part.append((s & 7, e))
-    links = []
-    for row, part in parts:
+        parts.setdefault(s >> 3, []).append((s & 7, e))
+    mid = 0
+    for row, part in parts.items():
         local = tuple(part)
         got = _LOCALS.get(local)
         if got is None:
+            if len(_LOCALS) == 1 << _DIGIT_BITS:
+                raise OverflowError(
+                    f"more than {1 << _DIGIT_BITS} local monomials: a row's digit "
+                    f"of a monomial id has {_DIGIT_BITS} bits"
+                )
             got = _LOCALS[local] = (len(_LOCALS), sum(1 << k for k, _e in local))
-        links.append((row, got[0]))
-    mid = 0
-    for row, lid in reversed(links):
-        split = (row, lid, mid)
-        mid = _IDS.get(split)
-        if mid is None:
-            mid = _IDS[split] = len(_SPLITS)
-            _SPLITS.append(split)
+        mid |= got[0] << (_DIGIT_BITS * row)
     return mid
 
 
@@ -175,17 +165,19 @@ def _weak_residuals():
             yield pending.pop()
 
 
-def _class_key(terms) -> tuple:
-    """The term list ``[(coeff, mono), ...]``, integer coefficients, divided
-    by the gcd of its coefficients and signed so that its first coefficient
-    is positive, flattened to ``(c_0, mono_0, c_1, mono_1, ...)``.  Two
-    polynomials' term lists in their print order have equal keys exactly
-    when the polynomials are equal up to a nonzero rational factor, which
-    is what equal :meth:`Poly.canon_key` means."""
-    g = math.gcd(*(c for c, _mono in terms))
-    if terms[0][0] < 0:
+def _class_key(terms: tuple) -> tuple:
+    """The term list ``(c_0, mono_0, c_1, mono_1, ...)``, integer
+    coefficients, divided by the gcd of its coefficients and signed so that
+    its first coefficient is positive.  Two polynomials' term lists in their
+    print order have equal keys exactly when the polynomials are equal up
+    to a nonzero rational factor, which is what equal
+    :meth:`Poly.canon_key` means."""
+    g = math.gcd(*terms[::2])
+    if terms[0] < 0:
         g = -g
-    return tuple(chain.from_iterable((c // g, mono) for c, mono in terms))
+    key = list(terms)
+    key[::2] = [c // g for c in terms[::2]]
+    return tuple(key)
 
 
 @lru_cache(maxsize=None)
@@ -195,12 +187,12 @@ def _generator_terms() -> tuple:
     :func:`_weak_residuals`, in their order, two residuals being of one
     class when they are equal up to a nonzero rational factor.  These are
     the classifier's weak equations, in its order.  ``terms`` is the
-    residual's integer term list ``[(coeff, mono id), ...]`` in print
-    order, as it is and not normalized, and ``depth`` the highest row in
-    its support.  Each residual is converted as it comes and then dropped;
-    only the term lists are kept.  A slot is its unknown's id: the unknown
-    table registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |>
-    v`` coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
+    residual's integer term list ``(coeff, mono id, ...)`` in print order,
+    as it is and not normalized, and ``depth`` the highest row in its
+    support.  Each residual is converted as it comes and then dropped; only
+    the term lists are kept.  A slot is its unknown's id: the unknown table
+    registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v``
+    coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
     ``slot & 7`` the local slot, the place in that row's candidate tuple."""
     seen: set = set()
     converted = []
@@ -211,7 +203,8 @@ def _generator_terms() -> tuple:
                 raise AssertionError("generator system has non-integer coefficient")
             if mono:
                 depth = max(depth, mono[-1][0] >> 3)
-            terms.append((coeff, _intern(mono)))
+            terms += coeff, _intern(mono)
+        terms = tuple(terms)
         key = _class_key(terms)
         if key not in seen:
             seen.add(key)
@@ -237,18 +230,21 @@ def _system_terms(mode: str) -> dict:
 def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     """Substitute the chosen ``values`` of ``row`` into the constraints of
     every deeper depth of ``system`` (depth -> list of term lists, as in
-    :func:`_system_terms`, none of them dead).  The result holds the depths
-    beyond ``row`` with coefficients reduced mod p and vanishing constraints
-    dropped; a depth becomes None, dead, as soon as one of its constraints
-    folds to a nonzero constant.  The search never folds a system with a
-    dead depth: it prunes that prefix first."""
+    :func:`_system_terms`, none of them dead), whose monomial ids hold
+    ``row``'s local id in their lowest digit.  The result holds the depths
+    beyond ``row`` with coefficients reduced mod p, vanishing constraints
+    dropped and each id shifted down one digit, so that the next row's
+    local id is its lowest; a depth becomes None, dead, as soon as one of
+    its constraints folds to a nonzero constant.  The search never folds a
+    system with a dead depth: it prunes that prefix first."""
     # each local monomial's value, 0 at once when one of its slots is 0
     zeros = sum(1 << k for k, x in enumerate(values) if not x)
     local = [
         0 if mask & zeros else math.prod(values[k] ** e for k, e in m) % p
         for m, (_lid, mask) in _LOCALS.items()
     ]
-    split = _SPLITS
+    bits = _DIGIT_BITS
+    digit = (1 << bits) - 1
     folded: dict = {}
     for depth, constraints in system.items():
         if depth <= row:
@@ -256,21 +252,22 @@ def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
         out = []
         for terms in constraints:
             acc: dict = {}
-            for coeff, mid in terms:
-                r, lid, rest = split[mid]
-                if r == row:
-                    coeff = coeff * local[lid] % p
-                    if not coeff:
-                        continue
-                    mid = rest
-                acc[mid] = acc.get(mid, 0) + coeff
-            reduced = [(c % p, mid) for mid, c in acc.items() if c % p]
+            it = iter(terms)
+            for coeff, mid in zip(it, it):
+                coeff = coeff * local[mid & digit] % p
+                if coeff:
+                    mid >>= bits
+                    acc[mid] = acc.get(mid, 0) + coeff
+            reduced = []
+            for mid, c in acc.items():
+                if c % p:
+                    reduced += c % p, mid
             if not reduced:
                 continue
-            if len(reduced) == 1 and not reduced[0][1]:
+            if len(reduced) == 2 and not reduced[1]:
                 out = None
                 break
-            out.append(reduced)
+            out.append(tuple(reduced))
         if out is not None:
             out.sort(key=len)
         folded[depth] = out
@@ -301,23 +298,24 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
 
     ``system`` is :func:`_system_terms`' system with the rows before
     ``row_index`` folded in (see :func:`_fold`), so each constraint of the
-    row's depth reads this row's slots only.  Its coefficients are reduced
-    mod p as they are read, zero terms and constraints left empty dropped,
-    and each monomial is decoded through its local id to ``((local slot,
-    exp), ...)``.  The constraints linear in this row's slots are
-    row-reduced; the coalgebra counit axiom gives every row two of them,
-    the pins ``v[0] + v[1] = eps(x)`` and ``v[4] + v[5] = 0`` in local
-    slots, which read this row only and so are never folded away.  The free
-    slots of the affine solution space are walked depth first over 0..p-1.
-    Each pivot slot is set at the level of the last free slot its reduced
-    row names, and each nonlinear constraint is checked once, at the level
-    of the deepest slot it reads (level 0, before any free slot is fixed,
-    when it reads only constant pivots)."""
+    row's depth reads this row's slots only, and each of its monomial ids is
+    a local id.  Its coefficients are reduced mod p as they are read, zero
+    terms and constraints left empty dropped, and each monomial is decoded
+    through its local id to ``((local slot, exp), ...)``.  The constraints
+    linear in this row's slots are row-reduced; the coalgebra counit axiom
+    gives every row two of them, the pins ``v[0] + v[1] = eps(x)`` and
+    ``v[4] + v[5] = 0`` in local slots, which read this row only and so are
+    never folded away.  The free slots of the affine solution space are
+    walked depth first over 0..p-1.  Each pivot slot is set at the level of
+    the last free slot its reduced row names, and each nonlinear constraint
+    is checked once, at the level of the deepest slot it reads (level 0,
+    before any free slot is fixed, when it reads only constant pivots)."""
     local_monos = list(_LOCALS)
     matrix = []
     nonlinear = []
     for terms in system[row_index]:
-        terms = [(c % p, local_monos[_SPLITS[mid][1]]) for c, mid in terms if c % p]
+        it = iter(terms)
+        terms = [(c % p, local_monos[mid]) for c, mid in zip(it, it) if c % p]
         if not terms:
             continue
         if not _is_linear(terms):
@@ -409,7 +407,8 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
             return
         for cand in cands:
             assigned[row] = cand
-            descend(row + 1, assigned, _fold(p, system, row, cand))
+            # the last row leaves no deeper depth to fold into
+            descend(row + 1, assigned, _fold(p, system, row, cand) if row < 3 else {})
         del assigned[row]
 
     descend(0, {}, _system_terms(task.mode))

@@ -106,31 +106,36 @@ def test_row_candidates_drop_what_vanishes_mod_p():
     # and a constraint left empty constrains nothing; the two counit pins
     # come with every row's system (test_every_row_holds_its_counit_pins)
     x0, x1, x2, x4, x5 = (ffenum._intern(((s, 1),)) for s in (0, 1, 2, 4, 5))
-    pins = [[(1, x0), (1, x1), (-1, 0)], [(1, x4), (1, x5)]]
+    pins = [(1, x0, 1, x1, -1, 0), (1, x4, 1, x5)]
     free = row_candidates(3, 0, {0: pins})
     assert len(free) == 3**6
-    assert row_candidates(3, 0, {0: pins + [[(3, x1), (6, 0)]]}) == free
-    assert row_candidates(3, 0, {0: pins + [[(3, x1), (4, x2)]]}) == [c for c in free if c[2] == 0]
+    assert row_candidates(3, 0, {0: pins + [(3, x1, 6, 0)]}) == free
+    assert row_candidates(3, 0, {0: pins + [(3, x1, 4, x2)]}) == [c for c in free if c[2] == 0]
     # a linear constraint is row-reduced as read: a scaled repeat of a pin
     # changes nothing, and a scaled copy whose constant disagrees leaves none
     for p in (3, 5):
-        scaled = [[(k * c, m) for c, m in pin] for k, pin in zip((2, p - 1), pins)]
+        scaled = [tuple(x * k if i % 2 == 0 else x for i, x in enumerate(pin)) for k, pin in zip((2, p - 1), pins)]
         assert row_candidates(p, 0, {0: pins + scaled}) == row_candidates(p, 0, {0: pins})
-    assert row_candidates(3, 0, {0: pins + [[(2, x0), (2, x1), (-1, 0)]]}) == []
+    assert row_candidates(3, 0, {0: pins + [(2, x0, 2, x1, -1, 0)]}) == []
 
 
-def decode(terms):
-    """A term list over monomial ids with each monomial decoded to
-    ``((slot, exp), ...)``, by walking the id's splits (row, local id, rest)
-    and reading each local id's ``((local slot, exp), ...)`` off the local
-    table."""
+def decode(terms, row):
+    """The flat term list ``(c_0, mid_0, c_1, mid_1, ...)`` as ``[(coeff,
+    ((slot, exp), ...)), ...]``.  Its ids are relative to ``row``: their
+    lowest digit is the local id of row ``row``, the next that of row ``row
+    + 1``, and so on, as in the system with rows 0 .. row - 1 folded in; each
+    local id's ``((local slot, exp), ...)`` is read off the local table."""
     local_monos = list(ffenum._LOCALS)
+    digit = (1 << ffenum._DIGIT_BITS) - 1
     out = []
-    for c, mid in terms:
+    it = iter(terms)
+    for c, mid in zip(it, it):
         mono = []
+        r = row
         while mid:
-            row, lid, mid = ffenum._SPLITS[mid]
-            mono += [(8 * row + k, e) for k, e in local_monos[lid]]
+            mono += [(8 * r + k, e) for k, e in local_monos[mid & digit]]
+            mid >>= ffenum._DIGIT_BITS
+            r += 1
         out.append((c, tuple(mono)))
     return out
 
@@ -152,24 +157,48 @@ def slot_monomials(draw):
 @example([((0, 1),), ((31, 4),), tuple((s, 1) for s in range(32))])
 def test_interning_round_trips(monos):
     # every id decodes back to its monomial; interning again, or interning an
-    # equal copy, gives the same id and adds no split and no local monomial;
-    # distinct monomials get distinct ids
-    ids = [ffenum._intern(mono) for mono in monos]
-    assert [decode([(1, mid)]) for mid in ids] == [[(1, mono)] for mono in monos]
-    sizes = len(ffenum._SPLITS), len(ffenum._LOCALS)
-    assert [ffenum._intern(tuple(map(tuple, mono))) for mono in monos] == ids
-    assert (len(ffenum._SPLITS), len(ffenum._LOCALS)) == sizes
-    assert len(set(ids)) == len(set(monos))
-    # the monomial 1 is id 0 and local id 0, so a split's rest of 0 ends a chain
-    assert ffenum._intern(()) == 0
-    assert ffenum._SPLITS[0] == (-1, 0, 0)
-    assert next(iter(ffenum._LOCALS.items())) == ((), (0, 0))
+    # equal copy, gives the same id and adds no local monomial; distinct
+    # monomials get distinct ids.  Fresh tables, so that the drawn monomials
+    # neither stay interned nor outgrow the digit
+    with pytest.MonkeyPatch.context() as m:
+        fresh_intern_tables(m)
+        ids = [ffenum._intern(mono) for mono in monos]
+        assert [decode((1, mid), 0) for mid in ids] == [[(1, mono)] for mono in monos]
+        size = len(ffenum._LOCALS)
+        assert [ffenum._intern(tuple(map(tuple, mono))) for mono in monos] == ids
+        assert len(ffenum._LOCALS) == size
+        assert len(set(ids)) == len(set(monos))
+        # the monomial 1 is id 0 and local id 0, so a digit of 0 reads nothing of its row
+        assert ffenum._intern(()) == 0
+        assert next(iter(ffenum._LOCALS.items())) == ((), (0, 0))
+        # an id's digits are its rows' local ids, row 0's lowest
+        for mid, mono in zip(ids, monos):
+            digits = {s >> 3 for s, _e in mono}
+            assert all(bool(mid >> (8 * r) & 255) == (r in digits) for r in range(4))
+            assert mid >> 32 == 0
+
+
+def test_interning_refuses_to_outgrow_the_digit(monkeypatch):
+    # a digit holds 256 local ids, the local monomial 1 among them: on fresh
+    # tables the 255 powers x0 .. x0**255 of slot 0 fill it, each id its own
+    # local id, and one more local monomial raises and is not added
+    fresh_intern_tables(monkeypatch)
+    assert [ffenum._intern(((0, e),)) for e in range(1, 256)] == list(range(1, 256))
+    assert ffenum._intern(((24, 255),)) == 255 << 24
+    assert len(ffenum._LOCALS) == 256
+    with pytest.raises(OverflowError, match="more than 256 local monomials"):
+        ffenum._intern(((8, 256),))
+    assert len(ffenum._LOCALS) == 256
+    assert decode((1, 255 << 24), 0) == [(1, ((24, 255),))]
 
 
 @functools.lru_cache(maxsize=None)
 def system(mode):
     """The unreduced constraints of :func:`_system_terms`, decoded."""
-    return {depth: list(map(decode, constraints)) for depth, constraints in _system_terms(mode).items()}
+    return {
+        depth: [decode(terms, 0) for terms in constraints]
+        for depth, constraints in _system_terms(mode).items()
+    }
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "weak"])
@@ -347,7 +376,7 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
         for name in ("_generator_terms", "_system_terms"):
             m.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
         injected = ffenum._system_terms("relaxed")
-        assert sorted(decode(injected[2][-1])) == [(1, ()), (3, ((16, 1),))]
+        assert sorted(decode(injected[2][-1], 0)) == [(1, ()), (3, ((16, 1),))]
         for p, dead in ((3, True), (5, False)):
             row0 = row_candidates(p, 0, injected)
             assert row0
@@ -440,7 +469,7 @@ def test_fold_off_the_search_path(p, mode, last, rng):
         if folded[depth] is None:
             assert any(len(set(v)) == 1 and v[0] for v in want)
         else:
-            got = value_vectors(map(decode, folded[depth]))
+            got = value_vectors(decode(terms, row + 1) for terms in folded[depth])
             assert sorted(v for v in got if any(v)) == sorted(v for v in want if any(v))
 
 
@@ -480,19 +509,17 @@ def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
 
 
 def test_enumerate_keeps_no_decoded_monomials(tmp_path):
-    # what a fresh enumerate run keeps of the conversion are the intern
-    # tables: one split per monomial id of the weak system and one entry per
-    # local monomial, and no decoded monomials
-    report = "len(ffenum._SPLITS), len(ffenum._LOCALS)"
-    assert enumerate_p3_report(tmp_path, "ffenum", report) == ["0", "9147", "237"]
+    # what a fresh enumerate run keeps of the conversion is the local table:
+    # one entry per local monomial, and no table of monomial ids or decoded
+    # monomials, since an id is its rows' local ids
+    report = "len(ffenum._LOCALS), *(hasattr(ffenum, name) for name in ('_SPLITS', '_IDS'))"
+    assert enumerate_p3_report(tmp_path, "ffenum", report) == ["0", "237", "False", "False"]
 
 
 def fresh_intern_tables(m):
     """Give ``ffenum`` empty intern tables under the monkeypatch ``m``, as
     in a fresh process, so that a test's monomials do not stay interned."""
-    m.setattr(ffenum, "_SPLITS", [(-1, 0, 0)])
     m.setattr(ffenum, "_LOCALS", {(): (0, 0)})
-    m.setattr(ffenum, "_IDS", {})
 
 
 # 32 slot-numbered unknowns, as the oracle's, for hand-made residuals
@@ -515,7 +542,7 @@ scales = st.sampled_from((1, -1, 2, 3, -3, 6, -4))
 
 
 def term_list(poly):
-    return [(c, mono) for mono, c in poly.terms()]
+    return tuple(itertools.chain.from_iterable((c, mono) for mono, c in poly.terms()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,11 +577,11 @@ def test_generation_keeps_each_first_residual_as_it_is(draws):
         fresh_intern_tables(m)
         m.setattr(ffenum, "_weak_residuals", lambda: iter(residuals))
         converted = ffenum._generator_terms.__wrapped__()
-        got = [(axiom, depth, decode(terms)) for axiom, depth, terms in converted]
+        got = [(axiom, depth, decode(terms, 0)) for axiom, depth, terms in converted]
     want = [
         (c.axiom, max((s >> 3 for _c, mono in terms for s, _e in mono), default=0), terms)
         for c in firsts.values()
-        for terms in [term_list(c.residual)]
+        for terms in [[(coeff, mono) for mono, coeff in c.residual.terms()]]
     ]
     assert got == want
 
@@ -580,11 +607,12 @@ def test_oracle_computes_no_canonical_key(monkeypatch):
 
 
 def test_generation_peak_memory(monkeypatch):
-    # the generation releases each residual once it is converted and fills
-    # no monomial key memo: its tracemalloc peak is 3.2 MB.  Holding a whole
-    # check's residuals, or filling the memo from Poly.terms(), reads 4.7 MB
-    # each, and holding the whole Poly system with its canonical and
-    # monomial keys 6.3 MB
+    # the generation releases each residual once it is converted, fills no
+    # monomial key memo and keeps flat term lists over digit ids: its
+    # tracemalloc peak is 2.3 MB, and what it keeps, the term lists and the
+    # local table, 1.2 MB.  With a (coeff, id) pair per term and a table of
+    # links per id they read 3.2 and 2.7 MB; holding a whole check's
+    # residuals, or filling the memo from Poly.terms(), reads a 4.7 MB peak
     fresh_intern_tables(monkeypatch)
     sweedler_h4()  # cached for the process, not part of the generation
     tracing = tracemalloc.is_tracing()
@@ -593,12 +621,14 @@ def test_generation_peak_memory(monkeypatch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ffenum._generator_terms.__wrapped__()
-        peak = tracemalloc.get_traced_memory()[1] - before
+        converted = ffenum._generator_terms.__wrapped__()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert converted
+    assert peak - before < 2.8 * 2**20
+    assert current - before < 2 * 2**20
 
 
 @functools.lru_cache(maxsize=None)
@@ -764,13 +794,14 @@ def test_constraint_coefficients_are_integers():
         grouped = _system_terms(mode)
         assert set(grouped) == {0, 1, 2, 3}
         assert all(
-            isinstance(c, int) for terms in grouped.values() for t in terms for c, _ in t
+            isinstance(c, int) for terms in grouped.values() for t in terms for c in t[::2]
         )
         constants = []
         for terms in itertools.chain(*grouped.values()):
-            constant = sum(c for c, mid in terms if not mid)
+            pairs = list(zip(terms[::2], terms[1::2]))
+            constant = sum(c for c, mid in pairs if not mid)
             if constant:
-                assert math.gcd(*(c for c, mid in terms if mid)) == 1
+                assert math.gcd(*(c for c, mid in pairs if mid)) == 1
                 constants.append(constant)
         assert constants == [-1] * count
 
