@@ -38,7 +38,7 @@ from .solver import (
 from .triangleop import (
     FAMILY_LABELS,
     TriangleOp,
-    axiom_suite,
+    axiom_residuals,
     build_unknown_op,
     family_table,
     map_table,
@@ -85,23 +85,18 @@ class ClassificationResult:
 
 # -- constraint generation ---------------------------------------------------------
 
-def generate_constraints(
-    H: HopfStructure, op: TriangleOp, mode: str = "relaxed"
-) -> ConstraintSystem:
+def generate_constraints(H: HopfStructure, op: TriangleOp, mode: str) -> ConstraintSystem:
     """All residual components of the coalgebra-homomorphism, product-rule
     and weighted-associativity checks on the symbolic table (plus unitality
     in weak mode), deduplicated up to a nonzero rational factor."""
-    registry = op.table[0][0][0].registry
     seen: set = set()
     equations: list[Constraint] = []
-    for report in axiom_suite(H, op, mode).values():
-        for entry in report.entries:
-            key = entry.residual.canon_key()
-            if key in seen:
-                continue
+    for entry in axiom_residuals(H, op, mode):
+        key = entry.residual.canon_key()
+        if key not in seen:
             seen.add(key)
             equations.append(entry)
-    return ConstraintSystem(registry, equations)
+    return ConstraintSystem(op.table[0][0][0].registry, equations)
 
 
 # -- tables from branches, canonical forms, subsumption ------------------------------
@@ -254,23 +249,24 @@ def builtin_families() -> dict[str, TriangleOp]:
 
 @lru_cache(maxsize=None)
 def _weak_system(parameterization: str):
-    """The unknown table of ``parameterization``, its registry and its weak
-    constraint system, generated once per process for both modes."""
+    """The unknown table of ``parameterization`` and its weak constraint
+    system, generated once per process for both modes."""
     h4 = sweedler_h4()
-    op, reg = build_unknown_op(h4, parameterization)
-    return op, reg, generate_constraints(h4, op, "weak")
+    op, _reg = build_unknown_op(h4, parameterization)
+    return op, generate_constraints(h4, op, "weak")
 
 
-@lru_cache(maxsize=None)
-def _cached_system(mode: str, parameterization: str):
-    """One job's table, registry and system.  Generation dedupes in suite
-    order, so the relaxed equations are the weak ones up to unitality's."""
+def _job_system(mode: str, parameterization: str):
+    """One job's table and system.  Generation dedupes in suite order, so
+    the relaxed equations are the weak ones up to unitality's."""
     if mode not in ("relaxed", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
-    op, reg, system = _weak_system(parameterization)
+    op, system = _weak_system(parameterization)
     if mode == "relaxed":
-        system = ConstraintSystem(reg, [c for c in system.equations if c.axiom != "unitality"])
-    return op, reg, system
+        system = ConstraintSystem(
+            system.registry, [c for c in system.equations if c.axiom != "unitality"]
+        )
+    return op, system
 
 
 def classify(
@@ -282,7 +278,7 @@ def classify(
     """Classify all operation tables on the Sweedler algebra for the given
     mode, returning every branch plus the deduplicated maximal families."""
     start = perf_counter()
-    op, _reg, system = _cached_system(mode, parameterization)
+    op, system = _job_system(mode, parameterization)
     generated = perf_counter()
     branches, stats = solve(system, max_branches=max_branches)
     solved = perf_counter()

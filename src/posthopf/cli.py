@@ -30,6 +30,7 @@ from .hopfcore import (
 from .multipoly import Poly
 from .triangleop import (
     FAMILY_LABELS,
+    PARAMETERIZATIONS,
     TriangleOp,
     axiom_suite,
     check_counit_absorption,
@@ -406,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="re-derive the classification symbolically")
     p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
-    p.add_argument("--param", choices=("generator32", "full64"), default="generator32")
+    p.add_argument("--param", choices=PARAMETERIZATIONS, default="generator32")
     p.add_argument("--max-branches", type=_ascii_int, default=10000)
     p.add_argument("--unicode", action="store_true")
     p.add_argument("--json", dest="json_out")

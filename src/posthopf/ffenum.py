@@ -52,7 +52,7 @@ reduced the same way.
 
 The oracle stays independent of the classifier and the branch solver: its
 constraints are those of the classifier's weak system, in the same order,
-since both read the one suite of :func:`~posthopf.triangleop.axiom_checks`
+since both read the one walk :func:`~posthopf.triangleop.axiom_residuals`
 on the same unknown table, but it generates them itself and shares none of
 the solver's moves (substitution order, factor splits, side conditions).
 Every point it keeps satisfies every constraint of its row, and every
@@ -71,7 +71,7 @@ from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
     TriangleOp,
-    axiom_checks,
+    axiom_residuals,
     axiom_suite,
     build_unknown_op,
     extend_generators,
@@ -150,21 +150,6 @@ def _intern(mono: tuple) -> int:
     return mid
 
 
-def _weak_residuals():
-    """The residuals of the weak suite on the generator32 unknown table, as
-    :class:`~posthopf.solver.Constraint` entries in suite order.  The
-    checks run one at a time, and each check's entries leave its list as
-    they are handed out, so a residual lives only until its consumer is
-    done with it."""
-    h4 = sweedler_h4()
-    op, _reg = build_unknown_op(h4, "generator32")
-    for _name, check in axiom_checks("weak"):
-        pending = list(check(h4, op).entries)
-        pending.reverse()
-        while pending:
-            yield pending.pop()
-
-
 def _class_key(terms: tuple) -> tuple:
     """The term list ``(c_0, mono_0, c_1, mono_1, ...)``, integer
     coefficients, divided by the gcd of its coefficients and signed so that
@@ -183,10 +168,11 @@ def _class_key(terms: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _generator_terms() -> tuple:
     """The weak constraints of the generator parameterization as ``(axiom,
-    depth, terms)``: the first residual of each class of
-    :func:`_weak_residuals`, in their order, two residuals being of one
-    class when they are equal up to a nonzero rational factor.  These are
-    the classifier's weak equations, in its order.  ``terms`` is the
+    depth, terms)``: the first residual of each class of the weak
+    :func:`~posthopf.triangleop.axiom_residuals` on the generator32
+    unknown table, in their order, two residuals being of one class when
+    they are equal up to a nonzero rational factor.  These are the
+    classifier's weak equations, in its order.  ``terms`` is the
     residual's integer term list ``(coeff, mono id, ...)`` in print order,
     as it is and not normalized, and ``depth`` the highest row in its
     support.  Each residual is converted as it comes and then dropped; only
@@ -194,9 +180,11 @@ def _generator_terms() -> tuple:
     registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v``
     coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
     ``slot & 7`` the local slot, the place in that row's candidate tuple."""
+    h4 = sweedler_h4()
+    op, _reg = build_unknown_op(h4, "generator32")
     seen: set = set()
     converted = []
-    for constraint in _weak_residuals():
+    for constraint in axiom_residuals(h4, op, "weak"):
         terms, depth = [], 0
         for mono, coeff in constraint.residual.terms():
             if type(coeff) is not int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .exactmath import kernel_basis, parse_rational, rational_mod_p
 from .multipoly import VarRegistry
@@ -380,7 +380,6 @@ def skew_primitives(H: HopfStructure, g, h) -> list[tuple]:
 
 # -- the Sweedler algebra ------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def sweedler_h4() -> HopfStructure:
     """The four-dimensional Hopf algebra on basis (1, g, v, gv) with
     g*g = 1, v*v = 0, g*v = -v*g, coproduct g -> g(x)g, v -> g(x)v + v(x)1.

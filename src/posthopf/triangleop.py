@@ -47,6 +47,7 @@ __all__ = [
     "check_counit_absorption",
     "axiom_checks",
     "axiom_suite",
+    "axiom_residuals",
     "PARAMETERIZATIONS",
     "build_unknown_op",
     "extend_generators",
@@ -198,9 +199,9 @@ def axiom_checks(mode: str) -> tuple:
     """The defining axioms of the mode as ``(name, check)`` pairs, in fixed
     order: coalgebra homomorphism, product rule and weighted
     associativity, plus unitality in weak mode.  This is the one definition
-    of the suite: :func:`axiom_suite` runs it whole, and the F_p oracle runs
-    it check by check.  The order fixes the order of the solver's
-    equations and of the oracle's constraints."""
+    of the suite: :func:`axiom_suite` runs it whole, and
+    :func:`axiom_residuals` check by check.  The order fixes the order of
+    the solver's equations and of the oracle's constraints."""
     if mode not in ("relaxed", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     checks = (
@@ -215,9 +216,22 @@ def axiom_checks(mode: str) -> tuple:
 
 def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
     """The report of every check of :func:`axiom_checks` on ``op``, keyed
-    by name in suite order.  The symbolic checks, the classifier's
-    constraint system and the F_p oracle's leaf recheck all read it."""
+    by name in suite order.  The symbolic checks and the F_p oracle's leaf
+    recheck read it."""
     return {name: check(H, op) for name, check in axiom_checks(mode)}
+
+
+def axiom_residuals(H: HopfStructure, op: TriangleOp, mode: str):
+    """The residuals of :func:`axiom_suite` on ``op`` as
+    :class:`~posthopf.solver.Constraint` entries, in suite order: the one
+    walk both constraint generators read.  The checks run one at a time,
+    and each check's entries leave its list as they are handed out, so a
+    residual lives only until its consumer is done with it."""
+    for _name, check in axiom_checks(mode):
+        pending = list(check(H, op).entries)
+        pending.reverse()
+        while pending:
+            yield pending.pop()
 
 
 # -- generator-column completion ------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from posthopf.classifier import (
-    _cached_system,
+    _job_system,
     builtin_families,
     canonical_table_key,
     classification_to_json_dict,
@@ -251,7 +251,7 @@ def test_criterion_8_primitive_spaces():
 def test_criterion_9_property_suites(relaxed_result, enum_p3):
     # solver soundness: independent numeric re-verification of every
     # resolved branch against the original system
-    _, _, system = _cached_system("relaxed", "generator32")
+    _, system = _job_system("relaxed", "generator32")
     rng = random.Random(4242)
     for branch in relaxed_result.branches:
         if branch.status != "resolved":

@@ -10,7 +10,7 @@ from posthopf.classifier import (
     ConstraintSystem,
     Family,
     SolverVerificationError,
-    _cached_system,
+    _job_system,
     builtin_families,
     canonical_table_key,
     classification_to_json_dict,
@@ -25,7 +25,7 @@ from posthopf.hopfcore import multiply, sweedler_h4
 from posthopf.multipoly import Poly, VarRegistry, parse_poly
 from posthopf.triangleop import (
     TriangleOp,
-    axiom_suite,
+    axiom_residuals,
     build_unknown_op,
     check_unitality,
     family_table,
@@ -101,7 +101,8 @@ def test_unit_row_square_identity_matches_derivation(h4):
 
 
 def test_relaxed_system_contains_unit_row_facts(h4):
-    _, reg, system = _cached_system("relaxed", "generator32")
+    _, system = _job_system("relaxed", "generator32")
+    reg = system.registry
     keys = {c.residual.canon_key() for c in system.equations}
     for text in (
         "c_0_1_0^2 - c_0_1_0",   # t1^2 = t1 from coproduct compatibility
@@ -113,10 +114,11 @@ def test_relaxed_system_contains_unit_row_facts(h4):
 
 
 def test_weak_mode_adds_unit_row_linear_equations(h4):
-    _, reg, weak = _cached_system("weak", "generator32")
+    _, weak = _job_system("weak", "generator32")
+    reg = weak.registry
     keys = {c.residual.canon_key() for c in weak.equations}
     assert parse_poly(reg, "c_0_1_1 - 1").canon_key() in keys
-    _, _, relaxed = _cached_system("relaxed", "generator32")
+    _, relaxed = _job_system("relaxed", "generator32")
     assert len(weak.equations) > len(relaxed.equations)
 
 
@@ -129,7 +131,7 @@ def equation_view(system):
 def test_cached_system_equals_a_fresh_generation(h4, mode, parameterization):
     # the shared generation gives each job the equations, in the order, that
     # generating its own mode from scratch gives
-    _op, _reg, cached = _cached_system(mode, parameterization)
+    _op, cached = _job_system(mode, parameterization)
     fresh = generate_constraints(h4, build_unknown_op(h4, parameterization)[0], mode)
     assert equation_view(cached) == equation_view(fresh)
     counts = {("relaxed", "generator32"): 700, ("weak", "generator32"): 711,
@@ -141,12 +143,12 @@ def test_generation_keeps_the_suites_own_entries(h4, monkeypatch):
     # each equation is the check's own residual record, not a copy of it
     entries = []
 
-    def recording_suite(*args):
-        suite = axiom_suite(*args)
-        entries.extend(e for report in suite.values() for e in report.entries)
-        return suite
+    def recording_walk(*args):
+        for entry in axiom_residuals(*args):
+            entries.append(entry)
+            yield entry
 
-    monkeypatch.setattr(classifier, "axiom_suite", recording_suite)
+    monkeypatch.setattr(classifier, "axiom_residuals", recording_walk)
     op, _reg = build_unknown_op(h4, "generator32")
     equations = generate_constraints(h4, op, "weak").equations
     own = {id(e) for e in entries}
@@ -156,9 +158,9 @@ def test_generation_keeps_the_suites_own_entries(h4, monkeypatch):
 
 @pytest.mark.parametrize("parameterization", ["generator32", "full64"])
 def test_relaxed_system_is_the_weak_one_without_unitality(parameterization):
-    op_w, reg_w, weak = _cached_system("weak", parameterization)
-    op_r, reg_r, relaxed = _cached_system("relaxed", parameterization)
-    assert op_r is op_w and reg_r is reg_w
+    op_w, weak = _job_system("weak", parameterization)
+    op_r, relaxed = _job_system("relaxed", parameterization)
+    assert op_r is op_w and relaxed.registry is weak.registry
     kept = [c for c in weak.equations if c.axiom != "unitality"]
     assert len(relaxed.equations) == len(kept)
     assert all(a is b for a, b in zip(relaxed.equations, kept))
@@ -170,8 +172,8 @@ def test_relaxed_system_is_the_weak_one_without_unitality(parameterization):
 def test_unknown_mode_is_refused():
     for call in (
         lambda: classify(mode="bogus"),
-        lambda: _cached_system("bogus", "generator32"),
-        lambda: _cached_system("weak", "bogus"),
+        lambda: _job_system("bogus", "generator32"),
+        lambda: _job_system("weak", "bogus"),
     ):
         with pytest.raises(ValueError):
             call()
@@ -299,7 +301,7 @@ def test_proof_step_regression(relaxed_result):
 def test_branch_soundness_independent_numeric(relaxed_result):
     # numeric spot-check at random parameter values, independent of the
     # solver's symbolic re-verification
-    _, _, system = _cached_system("relaxed", "generator32")
+    _, system = _job_system("relaxed", "generator32")
     rng = random.Random(99)
     for branch in relaxed_result.branches:
         if branch.status != "resolved":

@@ -363,15 +363,14 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
     # 16), is the constant 1 mod 3 before any row is chosen: row 0 is scanned,
     # and each of its 4 candidates dies at its fold, which leaves depth 2
     # dead.  Mod 5 depth 2 stays alive after the fold of row 0.
-    weak_residuals = ffenum._weak_residuals
-    op, _reg = build_unknown_op(sweedler_h4(), "generator32")
+    axiom_residuals = ffenum.axiom_residuals
 
-    def with_dead_constraint():
-        yield from weak_residuals()
+    def with_dead_constraint(h4, op, mode):
+        yield from axiom_residuals(h4, op, mode)
         yield Constraint(3 * op.table[V][1][0] + 1, "hand-built", ())
 
     with monkeypatch.context() as m:
-        m.setattr(ffenum, "_weak_residuals", with_dead_constraint)
+        m.setattr(ffenum, "axiom_residuals", with_dead_constraint)
         # fresh caches, so that neither the injected system nor the real one leaks
         for name in ("_generator_terms", "_system_terms"):
             m.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
@@ -493,19 +492,18 @@ def enumerate_p3_report(tmp_path, imports, report):
 
 def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
     # the oracle generates its system itself, so a fresh enumerate run
-    # keeps no Poly system alive in any of the classifier's caches: the last
-    # line is the exit code, _cached_system's size, and then name=size for
+    # keeps no Poly system alive in the classifier's one cache: the last
+    # line is the exit code, _weak_system's size, and then name=size for
     # every cached function the classifier defines
     caches = (
-        "classifier._cached_system.cache_info().currsize, *sorted("
+        "classifier._weak_system.cache_info().currsize, *sorted("
         "f'{f.__name__}={f.cache_info().currsize}' for f in vars(classifier).values()"
         " if hasattr(f, 'cache_info') and f.__module__ == classifier.__name__)"
     )
     rc, size, *caches = enumerate_p3_report(tmp_path, "classifier", caches)
     assert [rc, size] == ["0", "0"]
     sizes = dict(entry.split("=") for entry in caches)
-    assert {"_cached_system", "_weak_system"} <= set(sizes)
-    assert set(sizes.values()) == {"0"}
+    assert sizes == {"_weak_system": "0"}
 
 
 def test_enumerate_keeps_no_decoded_monomials(tmp_path):
@@ -575,7 +573,7 @@ def test_generation_keeps_each_first_residual_as_it_is(draws):
         firsts.setdefault(constraint.residual.canon_key(), constraint)
     with pytest.MonkeyPatch.context() as m:
         fresh_intern_tables(m)
-        m.setattr(ffenum, "_weak_residuals", lambda: iter(residuals))
+        m.setattr(ffenum, "axiom_residuals", lambda *args: iter(residuals))
         converted = ffenum._generator_terms.__wrapped__()
         got = [(axiom, depth, decode(terms, 0)) for axiom, depth, terms in converted]
     want = [
@@ -614,7 +612,6 @@ def test_generation_peak_memory(monkeypatch):
     # links per id they read 3.2 and 2.7 MB; holding a whole check's
     # residuals, or filling the memo from Poly.terms(), reads a 4.7 MB peak
     fresh_intern_tables(monkeypatch)
-    sweedler_h4()  # cached for the process, not part of the generation
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

@@ -7,8 +7,9 @@ Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
 oracle numbers each slot by its unknown's id, never by a variable name,
 and builds its constraint system itself, importing nothing from the
-classifier and caching nothing keyed by monomials.  Every name a module or the facade
-lists in ``__all__`` exists on it.
+classifier and caching nothing keyed by monomials.  Every cache in the
+package is pinned by name.  Every name a module or the facade lists in
+``__all__`` exists on it.
 """
 
 import ast
@@ -143,14 +144,52 @@ def test_ffenum_reads_no_variable_names():
     assert calls == []
 
 
-def cached_builders(tree: ast.Module) -> set[str]:
-    """The module-level functions of a module that carry a cache decorator."""
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and any("cache" in ast.unparse(d) for d in node.decorator_list)
-    }
+def cached(node) -> bool:
+    return any("cache" in ast.unparse(d) for d in node.decorator_list)
+
+
+def caches(tree: ast.Module) -> set[str]:
+    """The caches a module defines: its module-level functions with a cache
+    decorator, its classes' ``cached_property`` methods as ``Class.name``,
+    and its module-level ``_Memo`` instances."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and cached(node):
+            out.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.update(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and cached(item)
+            )
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if ast.unparse(node.value.func) == "_Memo":
+                out.update(target.id for target in node.targets)
+    return out
+
+
+# every cache of the package, with the hits it earns in one benchmark pass
+# (perfbench/worker.py's job list in a fresh process); a cache no pass hits
+# costs a concept and saves nothing
+CACHES = {
+    "classifier": {
+        "_weak_system",  # 2 of 4 calls per classify pass: each mode pair shares one system
+    },
+    "ffenum": {
+        "_generator_terms",  # 1 of 2 calls per enumerate pass, a 0.15 s generation each
+        "_system_terms",  # 8 of 10 calls per enumerate pass
+    },
+    "triangleop": {
+        "_symbolic_family",  # 18 of 24 calls per classify pass, a 0.37 ms parse each
+    },
+    "hopfcore": {
+        "HopfStructure._comul_terms",  # 262 of 264 reads per classify pass, 24,741 per enumerate
+    },
+    "multipoly": {
+        "_MONO_KEYS",  # 108,885 of 119,941 reads per classify pass
+        "_QUOTIENTS",  # 9,126 of 9,138 reads per classify pass
+    },
+}
 
 
 def test_ffenum_imports_nothing_from_classifier():
@@ -165,17 +204,19 @@ def test_ffenum_does_not_share_the_classifier_cache():
     # the oracle keeps only its own integer form of the system; reading any of
     # the classifier's cached Poly systems would keep that alive next to it
     tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
-    cached = cached_builders(ast.parse((PACKAGE / "classifier.py").read_text("utf-8")))
-    assert {"_cached_system", "_weak_system"} <= cached
-    assert name_uses(tree, {"_cached_system"} | cached) == []
+    assert name_uses(tree, CACHES["classifier"]) == []
 
 
-def test_ffenum_caches_no_monomials():
-    # the oracle caches its two converted systems and nothing else: a cache on
+def test_every_cache_is_pinned():
+    # a new cache must be given its place, and its hits, in CACHES.  The
+    # oracle caches its two converted systems and nothing else: a cache on
     # any other function, the interning above all, would be keyed by
     # monomials and grow with every distinct one for the life of the process
-    tree = ast.parse((PACKAGE / "ffenum.py").read_text("utf-8"))
-    assert cached_builders(tree) == {"_generator_terms", "_system_terms"}
+    found = {
+        path.stem: caches(ast.parse(path.read_text("utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {stem: names for stem, names in found.items() if names} == CACHES
 
 
 def test_every_exported_name_exists():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from posthopf import multipoly
 from posthopf.exactmath import rational_mod_p
-from posthopf.classifier import _cached_system
+from posthopf.classifier import _job_system
 from posthopf.multipoly import (
     MAX_DEGREE,
     Poly,
@@ -375,7 +375,7 @@ def test_classify_coefficients_are_ints_unless_fractional(
 ):
     results = (relaxed_result, weak_result, full64_result, weak_full64_result)
     for result in results:
-        _op, _reg, system = _cached_system(result.mode, result.parameterization)
+        _op, system = _job_system(result.mode, result.parameterization)
         for constraint in system.equations:
             assert_stored_form(constraint.residual)
         resolved = [b for b in result.branches if b.status == "resolved"]
@@ -428,7 +428,7 @@ def test_flat_canon_keys_compare_like_reference_pairs(p, q):
 
 
 def test_weak_generator32_keys_are_flat():
-    _op, _reg, system = _cached_system("weak", "generator32")
+    _op, system = _job_system("weak", "generator32")
     for constraint in system.equations:
         poly = constraint.residual
         key = poly.canon_key()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -13,7 +14,9 @@ from posthopf.triangleop import (
     TriangleOp,
     apply,
     axiom_checks,
+    axiom_residuals,
     axiom_suite,
+    build_unknown_op,
     check_coalgebra_hom,
     check_counit_absorption,
     check_distributivity,
@@ -207,6 +210,37 @@ def test_axiom_suite_runs_the_ordered_checks(h4):
     assert not suite["unitality"].passed
     with pytest.raises(ValueError):
         axiom_checks("strict")
+
+
+def residual_view(entries):
+    return [(c.axiom, c.indices, str(c.residual)) for c in entries]
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "weak"])
+@pytest.mark.parametrize("table", ["generator32", "iv"])
+def test_axiom_residuals_walks_the_suite(h4, mode, table):
+    # the walk hands out the residuals of the suite's reports, in their
+    # order: on the unknown table, and on family iv, which satisfies the
+    # relaxed axioms and fails unitality
+    op = build_unknown_op(h4, table)[0] if table == "generator32" else family_table(table)
+    suite = axiom_suite(h4, op, mode)
+    want = residual_view(entry for report in suite.values() for entry in report.entries)
+    assert bool(want) == (table == "generator32" or mode == "weak")
+    assert residual_view(axiom_residuals(h4, op, mode)) == want
+
+
+def test_axiom_residuals_releases_each_residual(h4):
+    # the walk keeps no residual it has handed out, so the first one is
+    # freed once its consumer drops it and takes the next; the bound of the
+    # oracle's generation peak memory rests on that
+    op, _reg = build_unknown_op(h4, "generator32")
+    walk = axiom_residuals(h4, op, "weak")
+    entry = next(walk)
+    first = weakref.ref(entry)
+    del entry
+    second = next(walk)
+    assert first() is None
+    assert second.axiom == "coalgebra_delta"
 
 
 def test_counit_absorption_examples(h4):
