@@ -173,17 +173,18 @@ def caches(tree: ast.Module) -> set[str]:
 # costs a concept and saves nothing
 CACHES = {
     "classifier": {
-        "_weak_system",  # 2 of 4 calls per classify pass: each mode pair shares one system
+        "_weak_system",  # 2 of 4 calls per classify pass: both modes share one system
     },
     "ffenum": {
-        "_generator_terms",  # 1 of 2 calls per enumerate pass, a 0.15 s generation each
+        "_generator_terms",  # 1 of 2 calls per enumerate pass, a ~0.19 s generation each
         "_system_terms",  # 8 of 10 calls per enumerate pass
     },
     "triangleop": {
-        "_symbolic_family",  # 18 of 24 calls per classify pass, a 0.37 ms parse each
+        "_symbolic_family",  # 18 of 24 calls per classify pass, a ~0.4 ms parse each
     },
     "hopfcore": {
-        "HopfStructure._comul_terms",  # 262 of 264 reads per classify pass, 24,741 per enumerate
+        # 262 of 264 reads per classify pass, 24,741 of 24,752 per enumerate pass
+        "HopfStructure._comul_terms",
     },
     "multipoly": {
         "_MONO_KEYS",  # 108,885 of 119,941 reads per classify pass
