@@ -15,14 +15,15 @@ classifier uses.
 
 The constraints are integer term lists over interned monomials in 32
 slots (``8*row + k``, each its unknown's id in the unknown table's
-registry), generated once per process for the weak suite: its checks run
-one at a time on the unknown table, each residual is converted to its term
-list as it comes and then dropped, and a residual equal to an earlier one
-up to a nonzero rational factor (the same primitive term list up to sign)
-is skipped.  No polynomial, canonical key or monomial key outlives the
-generation.  The relaxed system is the same term lists without
-unitality's.  A term list is one flat int tuple ``(c_0, mono_0, c_1,
-mono_1, ...)``, and a monomial id has one 8-bit digit per row, row 0's
+registry), generated once per process for the weak suite: its residuals
+are computed one basis tuple at a time on the unknown table, each is
+converted to its term list as it comes and then dropped, and a residual
+equal to an earlier one up to a nonzero rational factor (the same
+primitive term list up to sign) is skipped.  No polynomial, canonical key
+or monomial key outlives the generation.  The relaxed system is the same
+term lists without unitality's.  A term list is one flat run of ints
+``(c_0, mono_0, c_1, mono_1, ...)``, an int64 array as generated and a
+tuple once folded, and a monomial id has one 8-bit digit per row, row 0's
 lowest: the local id of the row's part, 0 when it reads nothing of the
 row.  So the conversion keeps one entry per local monomial and no table
 keyed by whole monomials.  A search starts from the term lists unreduced.
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,7 +152,7 @@ def _intern(mono: tuple) -> int:
     return mid
 
 
-def _class_key(terms: tuple) -> tuple:
+def _class_key(terms) -> tuple:
     """The term list ``(c_0, mono_0, c_1, mono_1, ...)``, integer
     coefficients, divided by the gcd of its coefficients and signed so that
     its first coefficient is positive.  Two polynomials' term lists in their
@@ -167,24 +169,28 @@ def _class_key(terms: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _generator_terms() -> tuple:
-    """The weak constraints of the generator parameterization as ``(axiom,
-    depth, terms)``: the first residual of each class of the weak
-    :func:`~posthopf.triangleop.axiom_residuals` on the generator32
-    unknown table, in their order, two residuals being of one class when
-    they are equal up to a nonzero rational factor.  These are the
-    classifier's weak equations, in its order.  ``terms`` is the
-    residual's integer term list ``(coeff, mono id, ...)`` in print order,
-    as it is and not normalized, and ``depth`` the highest row in its
-    support.  Each residual is converted as it comes and then dropped; only
-    the term lists are kept.  A slot is its unknown's id: the unknown table
-    registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v``
-    coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
-    ``slot & 7`` the local slot, the place in that row's candidate tuple."""
+    """The weak constraints of the generator parameterization, the
+    classifier's weak equations in its order: the weak
+    :func:`~posthopf.triangleop.axiom_residuals` on the generator32 unknown
+    table, converted.  A slot is its unknown's id: the table registers ``row
+    |> g`` coordinate k as ``8*row + k`` and ``row |> v`` coordinate k as
+    ``8*row + 4 + k``, so ``slot >> 3`` is the row and ``slot & 7`` the
+    local slot, the place in that row's candidate tuple."""
     h4 = sweedler_h4()
     op, _reg = build_unknown_op(h4, "generator32")
+    return _convert_residuals(axiom_residuals(h4, op, "weak"))
+
+
+def _convert_residuals(residuals) -> tuple:
+    """``(axiom, depth, terms)`` for the first residual of each class of the
+    stream, in its order, two residuals being of one class when they are
+    equal up to a nonzero rational factor.  ``terms`` is the residual's
+    integer term list ``(coeff, mono id, ...)`` in print order, not
+    normalized, in an ``array('q')``, and ``depth`` the highest row in its
+    support.  Each residual is dropped once converted."""
     seen: set = set()
     converted = []
-    for constraint in axiom_residuals(h4, op, "weak"):
+    for constraint in residuals:
         terms, depth = [], 0
         for mono, coeff in constraint.residual.terms():
             if type(coeff) is not int:
@@ -192,11 +198,10 @@ def _generator_terms() -> tuple:
             if mono:
                 depth = max(depth, mono[-1][0] >> 3)
             terms += coeff, _intern(mono)
-        terms = tuple(terms)
         key = _class_key(terms)
         if key not in seen:
             seen.add(key)
-            converted.append((constraint.axiom, depth, terms))
+            converted.append((constraint.axiom, depth, array("q", terms)))
     return tuple(converted)
 
 
@@ -330,25 +335,26 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
     for terms in nonlinear:
         checks[max(level_of[s] for _c, mono in terms for s, _e in mono)].append(terms)
 
-    vals = [0] * 8
-    candidates = []
-
-    def walk(level: int) -> None:
-        for pc, const, named in solved[level]:
-            vals[pc] = (const - sum(c * vals[f] for f, c in named)) % p
-        if any(_eval_compiled(terms, vals, p) for terms in checks[level]):
-            return
-        if level == len(free):
-            candidates.append(tuple(vals))
-            return
-        for x in range(p):
-            vals[free[level]] = x
-            walk(level + 1)
-
-    walk(0)
+    candidates: list[tuple] = []
+    _walk(p, free, solved, checks, [0] * 8, candidates, 0)
     # the walk is lexicographic in the free slots; the order promised is in slots 1-3, 5-7
     candidates.sort(key=lambda v: (v[1], v[2], v[3], v[5], v[6], v[7]))
     return candidates
+
+
+def _walk(p: int, free: list, solved: list, checks: list, vals: list, out: list, level: int):
+    """:func:`row_candidates`' depth-first walk from ``level`` on: each point
+    that passes every check goes to ``out``."""
+    for pc, const, named in solved[level]:
+        vals[pc] = (const - sum(c * vals[f] for f, c in named)) % p
+    if any(_eval_compiled(terms, vals, p) for terms in checks[level]):
+        return
+    if level == len(free):
+        out.append(tuple(vals))
+        return
+    for x in range(p):
+        vals[free[level]] = x
+        _walk(p, free, solved, checks, vals, out, level + 1)
 
 
 # -- full enumeration ------------------------------------------------------------
@@ -366,40 +372,44 @@ def _leaf(H4: HopfStructure, p: int, mode: str, rows: dict) -> TriangleOp | None
     return None
 
 
+def _descend(h4, task, stats: dict, found: dict, row: int, assigned: dict, system: dict):
+    """The search below the prefix ``assigned`` of rows before ``row``, with
+    ``system`` folded to it: it counts in ``stats`` and keeps each completed
+    table that passes the full suite in ``found``, keyed by its serial."""
+    p = task.prime
+    if row == 4:
+        stats["leaves"] += 1
+        op = _leaf(h4, p, task.mode, assigned)
+        if op is not None:
+            stats["passed"] += 1
+            found[op_serial(op)] = op
+        return
+    # a dead depth holds a constraint folded to a nonzero constant, which
+    # no later row can change
+    if None in system.values():
+        stats["prefix_pruned"] += 1
+        return
+    stats["row_scans"] += 1
+    cands = row_candidates(p, row, system)
+    if not cands:
+        stats["prefix_pruned"] += 1
+        return
+    for cand in cands:
+        assigned[row] = cand
+        # the last row leaves no deeper depth to fold into
+        folded = _fold(p, system, row, cand) if row < 3 else {}
+        _descend(h4, task, stats, found, row + 1, assigned, folded)
+    del assigned[row]
+
+
 def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
     """Exhaustive, exact enumeration; the structures come out canonically
     sorted."""
     h4 = sweedler_h4()
-    p = task.prime
     t0 = time.perf_counter()
     stats = {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 0}
     found: dict[str, TriangleOp] = {}
-
-    def descend(row: int, assigned: dict, system: dict) -> None:
-        if row == 4:
-            stats["leaves"] += 1
-            op = _leaf(h4, p, task.mode, assigned)
-            if op is not None:
-                stats["passed"] += 1
-                found[op_serial(op)] = op
-            return
-        # a dead depth holds a constraint folded to a nonzero constant, which
-        # no later row can change
-        if None in system.values():
-            stats["prefix_pruned"] += 1
-            return
-        stats["row_scans"] += 1
-        cands = row_candidates(p, row, system)
-        if not cands:
-            stats["prefix_pruned"] += 1
-            return
-        for cand in cands:
-            assigned[row] = cand
-            # the last row leaves no deeper depth to fold into
-            descend(row + 1, assigned, _fold(p, system, row, cand) if row < 3 else {})
-        del assigned[row]
-
-    descend(0, {}, _system_terms(task.mode))
+    _descend(h4, task, stats, found, 0, {}, _system_terms(task.mode))
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

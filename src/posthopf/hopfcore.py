@@ -112,29 +112,32 @@ class AxiomReport:
 
 
 class _ReportBuilder:
-    """Collects the nonzero residuals of one check.  Given a ``prime`` p, each
-    residual is an integer or rational lift of an F_p value and is reduced
-    mod p before it is tested: reduction from the rationals whose
-    denominator p does not divide is a ring map, so that is exact."""
+    """Counts, reduces and filters a check's residual components ``(axiom,
+    indices, value)``.  Given a ``prime`` p, each value, an integer or
+    rational lift of an F_p value, is reduced mod p before it is tested: that
+    is exact, as reduction from the rationals prime to p is a ring map."""
 
     def __init__(self, prime: int | None = None):
         self.prime = prime
-        self.entries: list[Constraint] = []
         self.checks = 0
 
-    def residual(self, axiom: str, indices: tuple[int, ...], value) -> None:
-        self.checks += 1
-        if value != 0 and self.prime is not None:  # 0 reduces to 0
-            value = rational_mod_p(value, self.prime)
-        if value != 0:
-            self.entries.append(Constraint(value, axiom, indices))
+    def entries(self, components):
+        """The nonzero components as constraints, each one as it comes."""
+        for axiom, indices, value in components:
+            self.checks += 1
+            if value != 0 and self.prime is not None:  # 0 reduces to 0
+                value = rational_mod_p(value, self.prime)
+            if value != 0:
+                yield Constraint(value, axiom, indices)
 
-    def residual_vector(self, axiom: str, indices: tuple[int, ...], vec) -> None:
-        for comp, value in enumerate(vec):
-            self.residual(axiom, indices + (comp,), value)
+    def report(self, components) -> AxiomReport:
+        return AxiomReport(tuple(self.entries(components)), self.checks)
 
-    def done(self) -> AxiomReport:
-        return AxiomReport(tuple(self.entries), self.checks)
+
+def _vector_residual(axiom: str, indices: tuple[int, ...], vec):
+    """The components of a vector residual, indexed by ``indices`` and the coordinate."""
+    for comp, value in enumerate(vec):
+        yield axiom, indices + (comp,), value
 
 
 # -- element operations -------------------------------------------------------
@@ -258,8 +261,11 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
     """Residuals of all Hopf axioms on basis elements: associativity, unit,
     coassociativity, counit, bialgebra compatibility, and both antipode
     identities.  All-zero residuals certify the structure exactly."""
+    return _ReportBuilder().report(_hopf_residuals(H))
+
+
+def _hopf_residuals(H: HopfStructure):
     n = H.dim
-    rb = _ReportBuilder()
     basis = [basis_element(H, i) for i in range(n)]
 
     for i in range(n):
@@ -267,11 +273,11 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
             for k in range(n):
                 left = multiply(H, multiply(H, basis[i], basis[j]), basis[k])
                 right = multiply(H, basis[i], multiply(H, basis[j], basis[k]))
-                rb.residual_vector("assoc", (i, j, k), vec_sub(left, right))
+                yield from _vector_residual("assoc", (i, j, k), vec_sub(left, right))
 
-    for i in range(n):
-        rb.residual_vector("unit_left", (i,), vec_sub(multiply(H, H.unit, basis[i]), basis[i]))
-        rb.residual_vector("unit_right", (i,), vec_sub(multiply(H, basis[i], H.unit), basis[i]))
+    for i, b in enumerate(basis):
+        yield from _vector_residual("unit_left", (i,), vec_sub(multiply(H, H.unit, b), b))
+        yield from _vector_residual("unit_right", (i,), vec_sub(multiply(H, b, H.unit), b))
 
     # coassociativity on the stored tensor: left[c] is the (x) c slice of
     # (coproduct (x) id) coproduct(e_i), right[a] the a (x) slice of
@@ -282,20 +288,20 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    rb.residual("coassoc", (i, a, b, c), left[c][a * n + b] - right[a][b * n + c])
+                    yield "coassoc", (i, a, b, c), left[c][a * n + b] - right[a][b * n + c]
 
     for i in range(n):
         left = _linear(H.counit, H.comul[i], Fraction(0))
         right = [counit_of(H, row) for row in H.comul[i]]
-        rb.residual_vector("counit_left", (i,), vec_sub(left, basis[i]))
-        rb.residual_vector("counit_right", (i,), vec_sub(right, basis[i]))
+        yield from _vector_residual("counit_left", (i,), vec_sub(left, basis[i]))
+        yield from _vector_residual("counit_right", (i,), vec_sub(right, basis[i]))
 
     for i in range(n):
         for j in range(n):
             lhs = comultiply(H, multiply(H, basis[i], basis[j]))
             rhs = tensor_multiply(H, comultiply(H, basis[i]), comultiply(H, basis[j]))
-            rb.residual_vector("bialgebra_mul", (i, j), vec_sub(lhs, rhs))
-            rb.residual(
+            yield from _vector_residual("bialgebra_mul", (i, j), vec_sub(lhs, rhs))
+            yield (
                 "bialgebra_counit",
                 (i, j),
                 counit_of(H, multiply(H, basis[i], basis[j])) - H.counit[i] * H.counit[j],
@@ -304,8 +310,8 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
     unit_tensor = tuple(
         H.unit[i] * H.unit[j] for i in range(n) for j in range(n)
     )
-    rb.residual_vector("unit_comul", (), vec_sub(comultiply(H, H.unit), unit_tensor))
-    rb.residual("unit_counit", (), counit_of(H, H.unit) - Fraction(1))
+    yield from _vector_residual("unit_comul", (), vec_sub(comultiply(H, H.unit), unit_tensor))
+    yield "unit_counit", (), counit_of(H, H.unit) - Fraction(1)
 
     for i in range(n):
         left = _sweedler(
@@ -315,10 +321,8 @@ def verify_hopf_axioms(H: HopfStructure) -> AxiomReport:
             H, i, lambda j, k: multiply(H, basis[j], antipode_of(H, basis[k])), Fraction(0)
         )
         target = vec_scale(H.counit[i], H.unit)
-        rb.residual_vector("antipode_left", (i,), vec_sub(left, target))
-        rb.residual_vector("antipode_right", (i,), vec_sub(right, target))
-
-    return rb.done()
+        yield from _vector_residual("antipode_left", (i,), vec_sub(left, target))
+        yield from _vector_residual("antipode_right", (i,), vec_sub(right, target))
 
 
 # -- group-likes and skew-primitives ------------------------------------------

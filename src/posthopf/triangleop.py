@@ -28,6 +28,7 @@ from .hopfcore import (
     _linear,
     _square_product,
     _sweedler,
+    _vector_residual,
     basis_element,
     comultiply,
     counit_of,
@@ -112,13 +113,9 @@ def apply(H: HopfStructure, op: TriangleOp, x, y) -> tuple:
     return tuple(_bilinear(op.table, x, y, x[0] * 0))
 
 
-def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
-    """The operation must be a coalgebra homomorphism: the coproduct of
-    ``x |> y`` equals ``(x1 |> y1) (x) (x2 |> y2)`` and its counit equals
-    ``eps(x) eps(y)``, for all basis pairs."""
+def _coalgebra_hom_residuals(H: HopfStructure, op: TriangleOp):
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder(op.prime)
     zero = op.table[0][0][0] * 0
     deltas = [comultiply(H, basis_element(H, i)) for i in range(n)]
     for i in range(n):
@@ -127,17 +124,20 @@ def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
             lhs = comultiply(H, cell)
             rhs = _square_product(op.table, deltas[i], deltas[j], zero)
             for comp in range(n * n):
-                rb.residual("coalgebra_delta", (i, j, comp // n, comp % n), lhs[comp] - rhs[comp])
-            eps = counit_of(H, cell) - H.counit[i] * H.counit[j]
-            rb.residual("coalgebra_counit", (i, j), eps)
-    return rb.done()
+                yield "coalgebra_delta", (i, j, comp // n, comp % n), lhs[comp] - rhs[comp]
+            yield "coalgebra_counit", (i, j), counit_of(H, cell) - H.counit[i] * H.counit[j]
 
 
-def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
-    """``x |> (y z) = (x1 |> y)(x2 |> z)`` on all basis triples."""
+def check_coalgebra_hom(H: HopfStructure, op: TriangleOp) -> AxiomReport:
+    """The operation must be a coalgebra homomorphism: the coproduct of
+    ``x |> y`` equals ``(x1 |> y1) (x) (x2 |> y2)`` and its counit equals
+    ``eps(x) eps(y)``, for all basis pairs."""
+    return _ReportBuilder(op.prime).report(_coalgebra_hom_residuals(H, op))
+
+
+def _distributivity_residuals(H: HopfStructure, op: TriangleOp):
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder(op.prime)
     T = op.table
     zero = T[0][0][0] * 0
     for i in range(n):
@@ -145,15 +145,17 @@ def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
             for k in range(n):
                 lhs = _linear(H.mul[j][k], T[i], zero)
                 rhs = _sweedler(H, i, lambda a, b: multiply(H, T[a][j], T[b][k]), zero)
-                rb.residual_vector("distributivity", (i, j, k), vec_sub(lhs, rhs))
-    return rb.done()
+                yield from _vector_residual("distributivity", (i, j, k), vec_sub(lhs, rhs))
 
 
-def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
-    """``x |> (y |> z) = (x1 (x2 |> y)) |> z`` on all basis triples."""
+def check_distributivity(H: HopfStructure, op: TriangleOp) -> AxiomReport:
+    """``x |> (y z) = (x1 |> y)(x2 |> z)`` on all basis triples."""
+    return _ReportBuilder(op.prime).report(_distributivity_residuals(H, op))
+
+
+def _weighted_assoc_residuals(H: HopfStructure, op: TriangleOp):
     _check_dim(H, op)
     n = H.dim
-    rb = _ReportBuilder(op.prime)
     T = op.table
     zero = T[0][0][0] * 0
     e = [basis_element(H, a) for a in range(n)]
@@ -161,38 +163,46 @@ def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     cols = [[row[k] for row in T] for k in range(n)]
     for i in range(n):
         for j in range(n):
+            # x1 (x2 |> y) at x = e_i, y = e_j, which every z = e_k shares
+            weighted = _sweedler(H, i, lambda a, b: multiply(H, e[a], T[b][j]), zero)
             for k in range(n):
                 lhs = _linear(T[j][k], T[i], zero)
-                rhs = _sweedler(
-                    H, i, lambda a, b: _linear(multiply(H, e[a], T[b][j]), cols[k], zero), zero
-                )
-                rb.residual_vector("weighted_assoc", (i, j, k), vec_sub(lhs, rhs))
-    return rb.done()
+                rhs = _linear(weighted, cols[k], zero)
+                yield from _vector_residual("weighted_assoc", (i, j, k), vec_sub(lhs, rhs))
+
+
+def check_weighted_assoc(H: HopfStructure, op: TriangleOp) -> AxiomReport:
+    """``x |> (y |> z) = (x1 (x2 |> y)) |> z`` on all basis triples."""
+    return _ReportBuilder(op.prime).report(_weighted_assoc_residuals(H, op))
+
+
+def _unitality_residuals(H: HopfStructure, op: TriangleOp):
+    _check_dim(H, op)
+    zero = op.table[0][0][0] * 0
+    for j in range(H.dim):
+        acted = _linear(H.unit, [row[j] for row in op.table], zero)
+        yield from _vector_residual("unitality", (j,), vec_sub(acted, basis_element(H, j)))
 
 
 def check_unitality(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``1 |> x = x`` on all basis elements (the extra axiom of the weak,
     as opposed to relaxed, setting)."""
+    return _ReportBuilder(op.prime).report(_unitality_residuals(H, op))
+
+
+def _counit_absorption_residuals(H: HopfStructure, op: TriangleOp):
     _check_dim(H, op)
-    rb = _ReportBuilder(op.prime)
     zero = op.table[0][0][0] * 0
-    for j in range(H.dim):
-        acted = _linear(H.unit, [row[j] for row in op.table], zero)
-        rb.residual_vector("unitality", (j,), vec_sub(acted, basis_element(H, j)))
-    return rb.done()
+    for i in range(H.dim):
+        val = _linear(H.unit, op.table[i], zero)
+        target = vec_scale(H.counit[i], H.unit)
+        yield from _vector_residual("counit_absorption", (i,), vec_sub(val, target))
 
 
 def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
     """``x |> 1 = eps(x) 1``; a consequence of the other axioms, checked as
     its own property."""
-    _check_dim(H, op)
-    rb = _ReportBuilder(op.prime)
-    zero = op.table[0][0][0] * 0
-    for i in range(H.dim):
-        val = _linear(H.unit, op.table[i], zero)
-        target = vec_scale(H.counit[i], H.unit)
-        rb.residual_vector("counit_absorption", (i,), vec_sub(val, target))
-    return rb.done()
+    return _ReportBuilder(op.prime).report(_counit_absorption_residuals(H, op))
 
 
 def axiom_checks(mode: str) -> tuple:
@@ -214,6 +224,15 @@ def axiom_checks(mode: str) -> tuple:
     return checks
 
 
+# the residual components of each check of axiom_checks, which its report reads
+_RESIDUALS = {
+    "coalgebra_hom": _coalgebra_hom_residuals,
+    "distributivity": _distributivity_residuals,
+    "weighted_assoc": _weighted_assoc_residuals,
+    "unitality": _unitality_residuals,
+}
+
+
 def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
     """The report of every check of :func:`axiom_checks` on ``op``, keyed
     by name in suite order.  The symbolic checks and the F_p oracle's leaf
@@ -222,16 +241,14 @@ def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomR
 
 
 def axiom_residuals(H: HopfStructure, op: TriangleOp, mode: str):
-    """The residuals of :func:`axiom_suite` on ``op`` as
-    :class:`~posthopf.solver.Constraint` entries, in suite order: the one
-    walk both constraint generators read.  The checks run one at a time,
-    and each check's entries leave its list as they are handed out, so a
-    residual lives only until its consumer is done with it."""
-    for _name, check in axiom_checks(mode):
-        pending = list(check(H, op).entries)
-        pending.reverse()
-        while pending:
-            yield pending.pop()
+    """The entries of :func:`axiom_suite`'s reports on ``op``, in suite
+    order: the one walk both constraint generators read.  Each check
+    computes its residual one basis tuple at a time, and each nonzero
+    component is handed out as it is computed, so no check's residual list
+    exists in full and a residual lives only as long as its consumer."""
+    entries = _ReportBuilder(op.prime).entries
+    for name, _check in axiom_checks(mode):
+        yield from entries(_RESIDUALS[name](H, op))
 
 
 # -- generator-column completion ------------------------------------------------

@@ -6,7 +6,8 @@ from importlib import resources
 
 import pytest
 
-from posthopf.hopfcore import basis_element, sweedler_h4
+from posthopf import triangleop
+from posthopf.hopfcore import basis_element, comultiply, multiply, sweedler_h4
 from posthopf.multipoly import Poly, VarRegistry
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
@@ -241,6 +242,29 @@ def test_axiom_residuals_releases_each_residual(h4):
     second = next(walk)
     assert first() is None
     assert second.axiom == "coalgebra_delta"
+
+
+def test_weighted_assoc_multiplies_once_per_pair(h4, monkeypatch):
+    # x1 (x2 |> e_j) does not depend on z = e_k, so the check forms it once
+    # per (i, j): one product per coproduct term of e_i and e_j, not one per
+    # basis triple as well
+    calls = []
+    monkeypatch.setattr(triangleop, "multiply", lambda *args: calls.append(1) or multiply(*args))
+    check_weighted_assoc(h4, family_table("iv"))
+    terms = sum(1 for plane in h4.comul for row in plane for c in row if c)
+    assert len(calls) == h4.dim * terms == 24
+
+
+def test_first_residual_runs_one_basis_pair(h4, monkeypatch):
+    # the walk hands out a residual as soon as it is computed: the first
+    # one, at the pair (e_0, e_0), costs the coproducts of the four basis
+    # elements and of that one cell, not those of the whole check
+    calls = []
+    monkeypatch.setattr(triangleop, "comultiply", lambda *args: calls.append(1) or comultiply(*args))
+    op, _reg = build_unknown_op(h4, "generator32")
+    first = next(axiom_residuals(h4, op, "weak"))
+    assert first.axiom == "coalgebra_delta" and first.indices[:2] == (0, 0)
+    assert len(calls) == h4.dim + 1
 
 
 def test_counit_absorption_examples(h4):
