@@ -246,8 +246,8 @@ def test_axiom_residuals_releases_each_residual(h4):
 
 def test_weighted_assoc_multiplies_once_per_pair(h4, monkeypatch):
     # x1 (x2 |> e_j) does not depend on z = e_k, so the check forms it once
-    # per (i, j): one product per coproduct term of e_i and e_j, not one per
-    # basis triple as well
+    # per (i, j): one product per term of the coproduct of e_i and per j,
+    # 24 in all, where one per k as well made 96
     calls = []
     monkeypatch.setattr(triangleop, "multiply", lambda *args: calls.append(1) or multiply(*args))
     check_weighted_assoc(h4, family_table("iv"))
