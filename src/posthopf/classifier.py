@@ -9,8 +9,8 @@ matched against the built-in tables.
 
 The relaxed axioms are the weak ones without unitality, so each
 parameterization's constraints are generated once per process, for the weak
-suite, and the relaxed system is that list without its unitality
-constraints.
+suite, and each mode's system is that list less the constraints of the
+checks its suite lacks (:func:`~posthopf.triangleop.axiom_modes`).
 
 Determinism: variable ids, equation ordering and tie-breaking are all fixed,
 so two runs serialize identically byte for byte.
@@ -37,7 +37,9 @@ from .solver import (
 )
 from .triangleop import (
     FAMILY_LABELS,
+    MODES,
     TriangleOp,
+    axiom_modes,
     axiom_residuals,
     build_unknown_op,
     family_table,
@@ -248,25 +250,21 @@ def builtin_families() -> dict[str, TriangleOp]:
 # -- the full pipeline -----------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _weak_system(parameterization: str):
-    """The unknown table of ``parameterization`` and its weak constraint
-    system, generated once per process for both modes."""
+def _systems(parameterization: str):
+    """The unknown table of ``parameterization`` and its constraint system
+    per mode, ``{mode: ConstraintSystem}``, generated once per process from
+    the weak suite.  Generation dedupes in suite order, so each mode's
+    equations are the weak ones whose axiom its suite holds
+    (:func:`~posthopf.triangleop.axiom_modes`)."""
     h4 = sweedler_h4()
     op, _reg = build_unknown_op(h4, parameterization)
-    return op, generate_constraints(h4, op, "weak")
-
-
-def _job_system(mode: str, parameterization: str):
-    """One job's table and system.  Generation dedupes in suite order, so
-    the relaxed equations are the weak ones up to unitality's."""
-    if mode not in ("relaxed", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    op, system = _weak_system(parameterization)
-    if mode == "relaxed":
-        system = ConstraintSystem(
-            system.registry, [c for c in system.equations if c.axiom != "unitality"]
+    weak = generate_constraints(h4, op, "weak")
+    return op, {
+        mode: ConstraintSystem(
+            weak.registry, [c for c in weak.equations if mode in axiom_modes(c.axiom)]
         )
-    return op, system
+        for mode in MODES
+    }
 
 
 def classify(
@@ -277,8 +275,11 @@ def classify(
 ) -> ClassificationResult:
     """Classify all operation tables on the Sweedler algebra for the given
     mode, returning every branch plus the deduplicated maximal families."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     start = perf_counter()
-    op, system = _job_system(mode, parameterization)
+    op, systems = _systems(parameterization)
+    system = systems[mode]
     generated = perf_counter()
     branches, stats = solve(system, max_branches=max_branches)
     solved = perf_counter()

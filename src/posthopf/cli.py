@@ -30,6 +30,7 @@ from .hopfcore import (
 from .multipoly import Poly
 from .triangleop import (
     FAMILY_LABELS,
+    MODES,
     PARAMETERIZATIONS,
     TriangleOp,
     axiom_suite,
@@ -395,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check Hopf axioms and an operation table")
     p.add_argument("--hopf", required=True, help="path to a structure JSON, or builtin:h4")
     p.add_argument("--op", help="path to an operation JSON, or family:i..vi[:a=<rational>]")
-    p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
+    p.add_argument("--mode", choices=MODES, default="relaxed")
     p.add_argument("--json", dest="json_out", help="write the machine report to this path")
     p.set_defaults(func=cmd_verify)
 
@@ -406,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("classify", help="re-derive the classification symbolically")
-    p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
+    p.add_argument("--mode", choices=MODES, default="relaxed")
     p.add_argument("--param", choices=PARAMETERIZATIONS, default="generator32")
     p.add_argument("--max-branches", type=_ascii_int, default=10000)
     p.add_argument("--unicode", action="store_true")
@@ -418,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="brute-force oracle over a prime field")
     p.add_argument("--prime", type=_ascii_int, required=True)
-    p.add_argument("--mode", choices=("relaxed", "weak"), default="relaxed")
+    p.add_argument("--mode", choices=MODES, default="relaxed")
     p.add_argument(
         "--out", dest="json_out", help="write structures and stats as JSON to this path"
     )

@@ -20,8 +20,11 @@ are computed one basis tuple at a time on the unknown table, each is
 converted to its term list as it comes and then dropped, and a residual
 equal to an earlier one up to a nonzero rational factor (the same
 primitive term list up to sign) is skipped.  No polynomial, canonical key
-or monomial key outlives the generation.  The relaxed system is the same
-term lists without unitality's.  A term list is one flat run of ints
+or monomial key outlives the generation.  Each kept term list goes to the
+system of every mode whose suite holds its axiom
+(:func:`~posthopf.triangleop.axiom_modes`), so the relaxed system is the
+same term lists without unitality's, and one cache holds both.  A term
+list is one flat run of ints
 ``(c_0, mono_0, c_1, mono_1, ...)``, an int64 array as generated and a
 tuple once folded, and a monomial id has one 8-bit digit per row, row 0's
 lowest: the local id of the row's part, 0 when it reads nothing of the
@@ -72,7 +75,9 @@ from .exactmath import is_odd_prime, rational_mod_p, rref
 from .hopfcore import HopfStructure, sweedler_h4
 from .multipoly import Poly
 from .triangleop import (
+    MODES,
     TriangleOp,
+    axiom_modes,
     axiom_residuals,
     axiom_suite,
     build_unknown_op,
@@ -105,7 +110,7 @@ class EnumerationTask:
             raise ValueError(
                 f"prime must be an odd prime <= {MAX_PRIME}, got {self.prime}"
             )
-        if self.mode not in ("relaxed", "weak"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -168,28 +173,28 @@ def _class_key(terms) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _generator_terms() -> tuple:
-    """The weak constraints of the generator parameterization, the
-    classifier's weak equations in its order: the weak
-    :func:`~posthopf.triangleop.axiom_residuals` on the generator32 unknown
-    table, converted.  A slot is its unknown's id: the table registers ``row
-    |> g`` coordinate k as ``8*row + k`` and ``row |> v`` coordinate k as
-    ``8*row + 4 + k``, so ``slot >> 3`` is the row and ``slot & 7`` the
-    local slot, the place in that row's candidate tuple."""
+def _system_terms() -> dict:
+    """Each mode's term lists, ``{mode: {depth: term lists}}``, converted
+    from the weak :func:`~posthopf.triangleop.axiom_residuals` on the
+    generator32 unknown table.  A slot is its unknown's id: the table
+    registers ``row |> g`` coordinate k as ``8*row + k`` and ``row |> v``
+    coordinate k as ``8*row + 4 + k``, so ``slot >> 3`` is the row and
+    ``slot & 7`` the local slot, the place in that row's candidate tuple."""
     h4 = sweedler_h4()
     op, _reg = build_unknown_op(h4, "generator32")
     return _convert_residuals(axiom_residuals(h4, op, "weak"))
 
 
-def _convert_residuals(residuals) -> tuple:
-    """``(axiom, depth, terms)`` for the first residual of each class of the
-    stream, in its order, two residuals being of one class when they are
-    equal up to a nonzero rational factor.  ``terms`` is the residual's
-    integer term list ``(coeff, mono id, ...)`` in print order, not
-    normalized, in an ``array('q')``, and ``depth`` the highest row in its
-    support.  Each residual is dropped once converted."""
+def _convert_residuals(residuals) -> dict:
+    """The first residual of each class of the weak stream, in its order,
+    two residuals being of one class when they are equal up to a nonzero
+    rational factor, grouped as ``{mode: {depth: term lists}}`` under each
+    mode of :func:`~posthopf.triangleop.axiom_modes` of its axiom.  A term
+    list is the residual's integer term list ``(coeff, mono id, ...)`` in
+    print order, not normalized, in an ``array('q')``, and its depth the
+    highest row in its support.  Each residual is dropped once converted."""
     seen: set = set()
-    converted = []
+    systems = {mode: {depth: [] for depth in range(4)} for mode in MODES}
     for constraint in residuals:
         terms, depth = [], 0
         for mono, coeff in constraint.residual.terms():
@@ -201,29 +206,16 @@ def _convert_residuals(residuals) -> tuple:
         key = _class_key(terms)
         if key not in seen:
             seen.add(key)
-            converted.append((constraint.axiom, depth, array("q", terms)))
-    return tuple(converted)
-
-
-@lru_cache(maxsize=None)
-def _system_terms(mode: str) -> dict:
-    """The term lists of ``mode`` grouped by depth, in generation order;
-    relaxed mode drops unitality's, all at depth 0.  A search starts from
-    this system as it is: :func:`row_candidates` reduces row 0's
-    constraints mod p as it reads them, and :func:`_fold` the deeper ones."""
-    if mode not in ("relaxed", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    grouped: dict[int, list] = {0: [], 1: [], 2: [], 3: []}
-    for axiom, depth, terms in _generator_terms():
-        if mode == "weak" or axiom != "unitality":
-            grouped[depth].append(terms)
-    return grouped
+            terms = array("q", terms)
+            for mode in axiom_modes(constraint.axiom):
+                systems[mode][depth].append(terms)
+    return systems
 
 
 def _fold(p: int, system: dict, row: int, values: tuple) -> dict:
     """Substitute the chosen ``values`` of ``row`` into the constraints of
-    every deeper depth of ``system`` (depth -> list of term lists, as in
-    :func:`_system_terms`, none of them dead), whose monomial ids hold
+    every deeper depth of ``system`` (depth -> list of term lists, as in a
+    mode's :func:`_system_terms`, none of them dead), whose monomial ids hold
     ``row``'s local id in their lowest digit.  The result holds the depths
     beyond ``row`` with coefficients reduced mod p, vanishing constraints
     dropped and each id shifted down one digit, so that the next row's
@@ -289,7 +281,7 @@ def row_candidates(p: int, row_index: int, system: dict) -> list[tuple]:
     satisfy every constraint of ``system[row_index]``, lexicographically in
     slots 1-3, 5-7.
 
-    ``system`` is :func:`_system_terms`' system with the rows before
+    ``system`` is a mode's :func:`_system_terms` with the rows before
     ``row_index`` folded in (see :func:`_fold`), so each constraint of the
     row's depth reads this row's slots only, and each of its monomial ids is
     a local id.  Its coefficients are reduced mod p as they are read, zero
@@ -409,7 +401,7 @@ def enumerate_structures(task: EnumerationTask) -> EnumerationReport:
     t0 = time.perf_counter()
     stats = {"row_scans": 0, "leaves": 0, "passed": 0, "prefix_pruned": 0}
     found: dict[str, TriangleOp] = {}
-    _descend(h4, task, stats, found, 0, {}, _system_terms(task.mode))
+    _descend(h4, task, stats, found, 0, {}, _system_terms()[task.mode])
 
     ordered = tuple(found[key] for key in sorted(found))
     elapsed = time.perf_counter() - t0

@@ -46,7 +46,9 @@ __all__ = [
     "check_weighted_assoc",
     "check_unitality",
     "check_counit_absorption",
+    "MODES",
     "axiom_checks",
+    "axiom_modes",
     "axiom_suite",
     "axiom_residuals",
     "PARAMETERIZATIONS",
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 FAMILY_LABELS = ("i", "ii", "iii", "iv", "v", "vi")
+MODES = ("relaxed", "weak")
 
 
 @dataclass(frozen=True)
@@ -206,38 +209,40 @@ def check_counit_absorption(H: HopfStructure, op: TriangleOp) -> AxiomReport:
 
 
 def axiom_checks(mode: str) -> tuple:
-    """The defining axioms of the mode as ``(name, check)`` pairs, in fixed
-    order: coalgebra homomorphism, product rule and weighted
+    """The defining axioms of the mode as ``(name, check, residuals)``
+    triples, ``residuals`` the generator of components ``check`` reports, in
+    fixed order: coalgebra homomorphism, product rule and weighted
     associativity, plus unitality in weak mode.  This is the one definition
-    of the suite: :func:`axiom_suite` runs it whole, and
-    :func:`axiom_residuals` check by check.  The order fixes the order of
-    the solver's equations and of the oracle's constraints."""
-    if mode not in ("relaxed", "weak"):
+    of the suite and its modes, read by :func:`axiom_suite`,
+    :func:`axiom_residuals` and :func:`axiom_modes`, and built on every call,
+    so a check or generator replaced on the module is the one that runs.
+    The order fixes the order of the solver's equations and of the oracle's
+    constraints."""
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     checks = (
-        ("coalgebra_hom", check_coalgebra_hom),
-        ("distributivity", check_distributivity),
-        ("weighted_assoc", check_weighted_assoc),
+        ("coalgebra_hom", check_coalgebra_hom, _coalgebra_hom_residuals),
+        ("distributivity", check_distributivity, _distributivity_residuals),
+        ("weighted_assoc", check_weighted_assoc, _weighted_assoc_residuals),
     )
     if mode == "weak":
-        checks += (("unitality", check_unitality),)
+        checks += (("unitality", check_unitality, _unitality_residuals),)
     return checks
 
 
-# the residual components of each check of axiom_checks, which its report reads
-_RESIDUALS = {
-    "coalgebra_hom": _coalgebra_hom_residuals,
-    "distributivity": _distributivity_residuals,
-    "weighted_assoc": _weighted_assoc_residuals,
-    "unitality": _unitality_residuals,
-}
+def axiom_modes(label: str) -> tuple:
+    """The modes whose suite yields entries with the axiom label ``label``.
+    A check that only some modes hold labels its entries with its own name,
+    so a label that no check is named is every mode's."""
+    held = tuple(mode for mode in MODES if any(label == name for name, *_ in axiom_checks(mode)))
+    return held or MODES
 
 
 def axiom_suite(H: HopfStructure, op: TriangleOp, mode: str) -> dict[str, AxiomReport]:
     """The report of every check of :func:`axiom_checks` on ``op``, keyed
     by name in suite order.  The symbolic checks and the F_p oracle's leaf
     recheck read it."""
-    return {name: check(H, op) for name, check in axiom_checks(mode)}
+    return {name: check(H, op) for name, check, _residuals in axiom_checks(mode)}
 
 
 def axiom_residuals(H: HopfStructure, op: TriangleOp, mode: str):
@@ -247,8 +252,8 @@ def axiom_residuals(H: HopfStructure, op: TriangleOp, mode: str):
     component is handed out as it is computed, so no check's residual list
     exists in full and a residual lives only as long as its consumer."""
     entries = _ReportBuilder(op.prime).entries
-    for name, _check in axiom_checks(mode):
-        yield from entries(_RESIDUALS[name](H, op))
+    for _name, _check, residuals in axiom_checks(mode):
+        yield from entries(residuals(H, op))
 
 
 # -- generator-column completion ------------------------------------------------

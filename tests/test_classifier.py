@@ -10,7 +10,7 @@ from posthopf.classifier import (
     ConstraintSystem,
     Family,
     SolverVerificationError,
-    _job_system,
+    _systems,
     builtin_families,
     canonical_table_key,
     classification_to_json_dict,
@@ -101,7 +101,7 @@ def test_unit_row_square_identity_matches_derivation(h4):
 
 
 def test_relaxed_system_contains_unit_row_facts(h4):
-    _, system = _job_system("relaxed", "generator32")
+    system = _systems("generator32")[1]["relaxed"]
     reg = system.registry
     keys = {c.residual.canon_key() for c in system.equations}
     for text in (
@@ -114,11 +114,11 @@ def test_relaxed_system_contains_unit_row_facts(h4):
 
 
 def test_weak_mode_adds_unit_row_linear_equations(h4):
-    _, weak = _job_system("weak", "generator32")
+    weak = _systems("generator32")[1]["weak"]
     reg = weak.registry
     keys = {c.residual.canon_key() for c in weak.equations}
     assert parse_poly(reg, "c_0_1_1 - 1").canon_key() in keys
-    _, relaxed = _job_system("relaxed", "generator32")
+    relaxed = _systems("generator32")[1]["relaxed"]
     assert len(weak.equations) > len(relaxed.equations)
 
 
@@ -131,7 +131,7 @@ def equation_view(system):
 def test_cached_system_equals_a_fresh_generation(h4, mode, parameterization):
     # the shared generation gives each job the equations, in the order, that
     # generating its own mode from scratch gives
-    _op, cached = _job_system(mode, parameterization)
+    cached = _systems(parameterization)[1][mode]
     fresh = generate_constraints(h4, build_unknown_op(h4, parameterization)[0], mode)
     assert equation_view(cached) == equation_view(fresh)
     counts = {("relaxed", "generator32"): 700, ("weak", "generator32"): 711,
@@ -158,9 +158,9 @@ def test_generation_keeps_the_suites_own_entries(h4, monkeypatch):
 
 @pytest.mark.parametrize("parameterization", ["generator32", "full64"])
 def test_relaxed_system_is_the_weak_one_without_unitality(parameterization):
-    op_w, weak = _job_system("weak", parameterization)
-    op_r, relaxed = _job_system("relaxed", parameterization)
-    assert op_r is op_w and relaxed.registry is weak.registry
+    _op, systems = _systems(parameterization)
+    weak, relaxed = systems["weak"], systems["relaxed"]
+    assert relaxed.registry is weak.registry
     kept = [c for c in weak.equations if c.axiom != "unitality"]
     assert len(relaxed.equations) == len(kept)
     assert all(a is b for a, b in zip(relaxed.equations, kept))
@@ -172,8 +172,8 @@ def test_relaxed_system_is_the_weak_one_without_unitality(parameterization):
 def test_unknown_mode_is_refused():
     for call in (
         lambda: classify(mode="bogus"),
-        lambda: _job_system("bogus", "generator32"),
-        lambda: _job_system("weak", "bogus"),
+        lambda: classify(mode="weak", parameterization="bogus"),
+        lambda: _systems("bogus"),
     ):
         with pytest.raises(ValueError):
             call()
@@ -301,7 +301,7 @@ def test_proof_step_regression(relaxed_result):
 def test_branch_soundness_independent_numeric(relaxed_result):
     # numeric spot-check at random parameter values, independent of the
     # solver's symbolic re-verification
-    _, system = _job_system("relaxed", "generator32")
+    system = _systems("generator32")[1]["relaxed"]
     rng = random.Random(99)
     for branch in relaxed_result.branches:
         if branch.status != "resolved":

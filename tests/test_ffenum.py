@@ -31,6 +31,7 @@ from posthopf.hopfcore import sweedler_h4
 from posthopf.multipoly import Poly, VarRegistry
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
+    MODES,
     TriangleOp,
     build_unknown_op,
     family_table,
@@ -64,9 +65,9 @@ def identity_row(p):
 
 def candidates(p, mode, row, assigned):
     """The candidates of ``row`` with the ``assigned`` rows folded into the
-    constraints of its depth in :func:`_system_terms`, or [] as soon as a
-    fold leaves that depth dead."""
-    folded = {row: _system_terms(mode)[row]}
+    constraints of its depth in the mode's :func:`_system_terms`, or [] as
+    soon as a fold leaves that depth dead."""
+    folded = {row: _system_terms()[mode][row]}
     for r in range(row):
         folded = _fold(p, folded, r, assigned[r])
         if folded[row] is None:
@@ -195,10 +196,10 @@ def test_interning_refuses_to_outgrow_the_digit(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def system(mode):
-    """The unreduced constraints of :func:`_system_terms`, decoded."""
+    """The unreduced constraints of the mode's :func:`_system_terms`, decoded."""
     return {
         depth: [decode(terms, 0) for terms in constraints]
-        for depth, constraints in _system_terms(mode).items()
+        for depth, constraints in _system_terms()[mode].items()
     }
 
 
@@ -373,9 +374,8 @@ def test_root_dead_depth_prunes_the_search(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ffenum, "axiom_residuals", with_dead_constraint)
         # fresh caches, so that neither the injected system nor the real one leaks
-        for name in ("_generator_terms", "_system_terms"):
-            m.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
-        injected = ffenum._system_terms("relaxed")
+        m.setattr(ffenum, "_system_terms", functools.lru_cache(ffenum._system_terms.__wrapped__))
+        injected = ffenum._system_terms()["relaxed"]
         assert sorted(decode(injected[2][-1], 0)) == [(1, ()), (3, ((16, 1),))]
         for p, dead in ((3, True), (5, False)):
             row0 = row_candidates(p, 0, injected)
@@ -455,7 +455,7 @@ def test_fold_off_the_search_path(p, mode, last, rng):
         prefix + [tuple(rng.randrange(p) for _ in range(8)) for _ in range(3 - last)]
         for _ in range(4)
     ]
-    folded = _system_terms(mode)
+    folded = _system_terms()[mode]
     for row, values in enumerate(prefix):
         folded = _fold(p, folded, row, values)
         if None in folded.values():
@@ -494,17 +494,17 @@ def enumerate_p3_report(tmp_path, imports, report):
 def test_enumerate_leaves_the_classifier_cache_empty(tmp_path):
     # the oracle generates its system itself, so a fresh enumerate run
     # keeps no Poly system alive in the classifier's one cache: the last
-    # line is the exit code, _weak_system's size, and then name=size for
-    # every cached function the classifier defines
+    # line is the exit code, _systems' size, and then name=size for every
+    # cached function the classifier defines
     caches = (
-        "classifier._weak_system.cache_info().currsize, *sorted("
+        "classifier._systems.cache_info().currsize, *sorted("
         "f'{f.__name__}={f.cache_info().currsize}' for f in vars(classifier).values()"
         " if hasattr(f, 'cache_info') and f.__module__ == classifier.__name__)"
     )
     rc, size, *caches = enumerate_p3_report(tmp_path, "classifier", caches)
     assert [rc, size] == ["0", "0"]
     sizes = dict(entry.split("=") for entry in caches)
-    assert sizes == {"_weak_system": "0"}
+    assert sizes == {"_systems": "0"}
 
 
 def test_enumerate_keeps_no_decoded_monomials(tmp_path):
@@ -565,22 +565,31 @@ def test_class_key_agrees_with_canon_key(p, q, a, b):
 def test_generation_keeps_each_first_residual_as_it_is(draws):
     # every poly is drawn once and again at a scale, in a shuffled order; the
     # generation keeps one entry per canon_key class, the first residual of
-    # it in input order, with its own coefficients, not normalized
+    # it in input order, with its own coefficients, not normalized, at its
+    # depth in each mode that holds its axiom: a unitality residual in weak
+    # mode only
     stream = [p for p, _scale in draws] + [p * scale for p, scale in draws]
     random.Random(len(stream)).shuffle(stream)
-    residuals = [Constraint(p, f"r{i}", ()) for i, p in enumerate(stream)]
+    residuals = [
+        Constraint(p, "unitality" if i % 3 == 0 else f"r{i}", ()) for i, p in enumerate(stream)
+    ]
     firsts: dict = {}
     for constraint in residuals:
         firsts.setdefault(constraint.residual.canon_key(), constraint)
     with pytest.MonkeyPatch.context() as m:
         fresh_intern_tables(m)
         converted = ffenum._convert_residuals(iter(residuals))
-        got = [(axiom, depth, decode(terms, 0)) for axiom, depth, terms in converted]
-    want = [
-        (c.axiom, max((s >> 3 for _c, mono in terms for s, _e in mono), default=0), terms)
-        for c in firsts.values()
-        for terms in [[(coeff, mono) for mono, coeff in c.residual.terms()]]
-    ]
+        got = {
+            mode: {depth: [decode(terms, 0) for terms in lists] for depth, lists in grouped.items()}
+            for mode, grouped in converted.items()
+        }
+    want = {mode: {depth: [] for depth in range(4)} for mode in MODES}
+    for c in firsts.values():
+        terms = [(coeff, mono) for mono, coeff in c.residual.terms()]
+        depth = max((s >> 3 for _c, mono in terms for s, _e in mono), default=0)
+        for mode in MODES:
+            if mode == "weak" or c.axiom != "unitality":
+                want[mode][depth].append(terms)
     assert got == want
 
 
@@ -594,11 +603,11 @@ def test_oracle_computes_no_canonical_key(monkeypatch):
         calls.append(poly)
         return canon_key(poly)
 
-    cached = ffenum._generator_terms()
+    cached = ffenum._system_terms()
     monkeypatch.setattr(Poly, "canon_key", counted)
-    for name in ("_generator_terms", "_system_terms"):
-        monkeypatch.setattr(ffenum, name, functools.lru_cache(getattr(ffenum, name).__wrapped__))
-    assert ffenum._generator_terms.__wrapped__() == cached
+    fresh = functools.lru_cache(ffenum._system_terms.__wrapped__)
+    monkeypatch.setattr(ffenum, "_system_terms", fresh)
+    assert ffenum._system_terms.__wrapped__() == cached
     report = enumerate_structures(EnumerationTask(3))
     assert report.count == 10
     assert calls == []
@@ -618,7 +627,7 @@ def test_generation_peak_memory(monkeypatch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        converted = ffenum._generator_terms.__wrapped__()
+        converted = ffenum._system_terms.__wrapped__()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
@@ -804,7 +813,7 @@ def test_constraint_coefficients_are_integers():
     # other coefficients, so no prime turns one into a nonzero constant before
     # a row is folded in (each such constant is -1: 4 relaxed, 8 weak)
     for mode, count in (("relaxed", 4), ("weak", 8)):
-        grouped = _system_terms(mode)
+        grouped = _system_terms()[mode]
         assert set(grouped) == {0, 1, 2, 3}
         assert all(
             isinstance(c, int) for terms in grouped.values() for t in terms for c in t[::2]
@@ -843,13 +852,11 @@ def test_both_modes_share_one_conversion():
     # relaxed one holds the weak one's term lists, less unitality's 11 at depth 0
     for mode in ("relaxed", "weak"):
         assert system(mode) == own_conversion(mode)
-    relaxed, weak = _system_terms("relaxed"), _system_terms("weak")
+    relaxed, weak = _system_terms()["relaxed"], _system_terms()["weak"]
     for depth in range(4):
         shared = {id(terms) for terms in weak[depth]}
         assert all(id(terms) in shared for terms in relaxed[depth])
     assert [len(weak[d]) - len(relaxed[d]) for d in range(4)] == [11, 0, 0, 0]
-    with pytest.raises(ValueError):
-        _system_terms("bogus")
 
 
 def test_fp_structures_check_exactly(enum_p3):

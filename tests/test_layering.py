@@ -7,8 +7,9 @@ Outside the package, a module imports only the standard library.  The packed
 monomial format is ``multipoly``'s own: no other module touches it.  The F_p
 oracle numbers each slot by its unknown's id, never by a variable name,
 and builds its constraint system itself, importing nothing from the
-classifier and caching nothing keyed by monomials.  Every cache in the
-package is pinned by name.  Every name a module or the facade lists in
+classifier and caching nothing keyed by monomials.  The axiom suite's modes
+are spelled in ``triangleop`` alone.  Every cache in the package is pinned
+by name.  Every name a module or the facade lists in
 ``__all__`` exists on it.
 """
 
@@ -173,11 +174,10 @@ def caches(tree: ast.Module) -> set[str]:
 # costs a concept and saves nothing
 CACHES = {
     "classifier": {
-        "_weak_system",  # 2 of 4 calls per classify pass: both modes share one system
+        "_systems",  # 2 of 4 calls per classify pass: both modes share one generation
     },
     "ffenum": {
-        "_generator_terms",  # 1 of 2 calls per enumerate pass, a ~0.19 s generation each
-        "_system_terms",  # 8 of 10 calls per enumerate pass
+        "_system_terms",  # 9 of 10 calls per enumerate pass: both modes share one generation
     },
     "triangleop": {
         "_symbolic_family",  # 18 of 24 calls per classify pass, a ~0.4 ms parse each
@@ -210,7 +210,7 @@ def test_ffenum_does_not_share_the_classifier_cache():
 
 def test_every_cache_is_pinned():
     # a new cache must be given its place, and its hits, in CACHES.  The
-    # oracle caches its two converted systems and nothing else: a cache on
+    # oracle caches its converted systems and nothing else: a cache on
     # any other function, the interning above all, would be keyed by
     # monomials and grow with every distinct one for the life of the process
     found = {
@@ -218,6 +218,38 @@ def test_every_cache_is_pinned():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {stem: names for stem, names in found.items() if names} == CACHES
+
+
+def constants(node) -> tuple | None:
+    """The literal values of a tuple, list or set of constants, else None."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
+        isinstance(e, ast.Constant) for e in node.elts
+    ):
+        return tuple(e.value for e in node.elts)
+    return None
+
+
+def test_the_suite_and_its_modes_are_defined_once():
+    # triangleop alone spells the modes, and the generators read which mode
+    # holds an axiom from its table (axiom_modes): neither compares an axiom
+    # name with the check that weak mode adds
+    spelled = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        lines = [n.lineno for n in ast.walk(tree) if constants(n) == ("relaxed", "weak")]
+        if lines:
+            spelled[path.stem] = lines
+    assert list(spelled) == ["triangleop"] and len(spelled["triangleop"]) == 1, spelled
+    for stem in ("classifier", "ffenum"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text("utf-8"))
+        compared = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators)
+            if isinstance(operand, ast.Constant) and operand.value == "unitality"
+        ]
+        assert compared == [], stem
 
 
 def test_every_exported_name_exists():

@@ -12,9 +12,11 @@ from posthopf.multipoly import Poly, VarRegistry
 from posthopf.solver import Constraint
 from posthopf.triangleop import (
     FAMILY_LABELS,
+    MODES,
     TriangleOp,
     apply,
     axiom_checks,
+    axiom_modes,
     axiom_residuals,
     axiom_suite,
     build_unknown_op,
@@ -199,15 +201,15 @@ def test_axiom_suite_runs_the_ordered_checks(h4):
     # axiom_checks under their names, in their order, and the weak suite is
     # the relaxed one plus unitality
     relaxed, weak = axiom_checks("relaxed"), axiom_checks("weak")
-    assert [name for name, _check in weak] == [
+    assert [name for name, _check, _residuals in weak] == [
         "coalgebra_hom", "distributivity", "weighted_assoc", "unitality",
     ]
     assert weak[:3] == relaxed and weak[3][1] is check_unitality
     op = family_table("iv")
     for mode, checks in (("relaxed", relaxed), ("weak", weak)):
         suite = axiom_suite(h4, op, mode)
-        assert list(suite) == [name for name, _check in checks]
-        assert all(suite[name] == check(h4, op) for name, check in checks)
+        assert list(suite) == [name for name, _check, _residuals in checks]
+        assert all(suite[name] == check(h4, op) for name, check, _residuals in checks)
     assert not suite["unitality"].passed
     with pytest.raises(ValueError):
         axiom_checks("strict")
@@ -215,6 +217,32 @@ def test_axiom_suite_runs_the_ordered_checks(h4):
 
 def residual_view(entries):
     return [(c.axiom, c.indices, str(c.residual)) for c in entries]
+
+
+def test_report_and_walk_read_one_residual_generator(h4, monkeypatch):
+    # the suite names each check's residual generator when it is built, so
+    # a generator put in place of unitality's reaches both the check's
+    # report and the walk; family ii passes every weak axiom
+    def stub(H, op):
+        yield "unitality", (7,), 5
+
+    monkeypatch.setattr(triangleop, "_unitality_residuals", stub)
+    op = family_table("ii")
+    want = [("unitality", (7,), "5")]
+    assert residual_view(check_unitality(h4, op).entries) == want
+    assert residual_view(axiom_residuals(h4, op, "weak")) == want
+
+
+def test_axiom_modes_places_each_label_of_the_walk(h4):
+    # on the unknown table every check yields entries under each of its
+    # labels, and axiom_modes places a label in exactly the modes whose walk
+    # yields it: unitality in weak mode only, every other label in both
+    op = build_unknown_op(h4, "generator32")[0]
+    labels = {mode: {c.axiom for c in axiom_residuals(h4, op, mode)} for mode in MODES}
+    for label in labels["weak"] | labels["relaxed"]:
+        assert axiom_modes(label) == tuple(m for m in MODES if label in labels[m]), label
+    assert labels["weak"] - labels["relaxed"] == {"unitality"}
+    assert axiom_modes("unitality") == ("weak",)
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "weak"])
